@@ -6,6 +6,7 @@
  * fast enough for the full sweeps.
  */
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -15,8 +16,10 @@
 #include "common.hh"
 #include "core/calibration.hh"
 #include "core/node.hh"
+#include "cpu/cpu.hh"
 #include "dma/dma_engine.hh"
 #include "mem/copy_model.hh"
+#include "net/burst.hh"
 #include "net/switch.hh"
 #include "simcore/simcore.hh"
 
@@ -43,6 +46,53 @@ BM_EventQueueScheduleRun(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_EventQueueScheduleRun);
+
+void
+BM_EventQueueBurstCapture(benchmark::State &state)
+{
+    // The per-hop shape of a burst event: one pointer plus a
+    // net::Burst, 128 bytes, the largest capture stored inline.
+    sim::EventQueue eq;
+    std::uint64_t sink = 0;
+    net::Burst burst;
+    for (auto _ : state) {
+        for (int i = 0; i < 1000; ++i) {
+            burst.arg = static_cast<std::uint64_t>(i);
+            eq.scheduleIn(sim::Tick{static_cast<std::uint64_t>(i % 64)},
+                          [&sink, burst] { sink += burst.arg; });
+        }
+        eq.run();
+        benchmark::DoNotOptimize(sink);
+    }
+    state.SetItemsProcessed(state.iterations() * 1000);
+}
+BENCHMARK(BM_EventQueueBurstCapture);
+
+void
+BM_CpuSetSubmit(benchmark::State &state)
+{
+    // 4 cores, 64 callers: 60 items wait in the run queues at any
+    // time, so every completion also dequeues and starts the next.
+    Simulation sim;
+    cpu::CpuSet cpu(sim, {.cores = 4});
+    struct Loop
+    {
+        cpu::CpuSet &cpu;
+        void
+        submit(unsigned slot)
+        {
+            cpu.submit(sim::Tick{100}, cpu::CpuSet::kAnyCore, slot % 4 == 0,
+                       [this, slot] { submit(slot); });
+        }
+    } loop{cpu};
+    for (unsigned slot = 0; slot < 64; ++slot)
+        loop.submit(slot);
+    for (auto _ : state)
+        sim.runFor(sim::microseconds(25)); // 1000 work items
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(cpu.completedItems()));
+}
+BENCHMARK(BM_CpuSetSubmit);
 
 void
 BM_CoroutineSpawnResume(benchmark::State &state)

@@ -10,11 +10,15 @@
 namespace ioat::cpu {
 
 CpuSet::CpuSet(Simulation &sim, const CpuConfig &cfg)
-    : sim_(sim), quantum_(cfg.preemptionQuantum), cores_(cfg.cores)
+    : sim_(sim), quantum_(cfg.preemptionQuantum),
+      globalHigh_(workPool_), globalQueue_(workPool_)
 {
     sim::simAssert(cfg.cores > 0, "CpuSet needs at least one core");
     sim::simAssert(cfg.preemptionQuantum > Tick{0},
                    "preemption quantum must be positive");
+    cores_.reserve(cfg.cores);
+    for (unsigned i = 0; i < cfg.cores; ++i)
+        cores_.emplace_back(workPool_);
 }
 
 void
@@ -25,48 +29,46 @@ CpuSet::submit(Tick duration, int core, bool highPriority,
                        (core >= 0 &&
                         core < static_cast<int>(cores_.size())),
                    "CpuSet::submit: bad core id");
-    WorkItem item{duration, std::move(done),
-                  highPriority ? "softirq" : "app"};
+    const char *label = highPriority ? "softirq" : "app";
 
+    // An idle core takes the completion straight away; only work that
+    // has to wait becomes a queued WorkItem.
     if (core == kAnyCore) {
         const int idle = findIdleCore();
-        if (idle >= 0) {
-            startOn(static_cast<unsigned>(idle), std::move(item));
-        } else if (highPriority) {
-            globalHigh_.push_back(std::move(item));
-        } else {
-            globalQueue_.push_back(std::move(item));
-        }
+        if (idle >= 0)
+            startOn(static_cast<unsigned>(idle), duration, label, done);
+        else
+            (highPriority ? globalHigh_ : globalQueue_)
+                .emplace_back(duration, std::move(done), label);
         return;
     }
 
     auto &c = cores_[static_cast<unsigned>(core)];
-    if (!c.busy) {
-        startOn(static_cast<unsigned>(core), std::move(item));
-    } else if (highPriority) {
-        c.high.push_back(std::move(item));
-    } else {
-        c.queue.push_back(std::move(item));
-    }
+    if (!c.busy)
+        startOn(static_cast<unsigned>(core), duration, label, done);
+    else
+        (highPriority ? c.high : c.queue)
+            .emplace_back(duration, std::move(done), label);
 }
 
 void
-CpuSet::startOn(unsigned core_idx, WorkItem item)
+CpuSet::startOn(unsigned core_idx, Tick duration, const char *label,
+                sim::SmallFn &done)
 {
     auto &c = cores_[core_idx];
     sim::simAssert(!c.busy, "starting work on a busy core");
     c.busy = true;
     c.runStart = sim_.now();
-    c.runLabel = item.label;
+    c.runLabel = label;
     // Park the completion on the core rather than in the finish
     // event's capture: the event then captures two words instead of a
     // whole SmallFn, keeping it inside the queue's inline budget.
-    c.done = std::move(item.done);
+    c.done = std::move(done);
     ++busyCount_;
     busySignal_.update(sim_.now(), static_cast<double>(busyCount_));
-    totalBusy_ += item.duration;
+    totalBusy_ += duration;
 
-    sim_.queue().scheduleIn(item.duration,
+    sim_.queue().scheduleIn(duration,
                             [this, core_idx] { finishOn(core_idx); });
 }
 
@@ -93,10 +95,10 @@ CpuSet::finishOn(unsigned core_idx)
 
     // Interrupt-class work first (FIFO within each class), pinned
     // work ahead of the global pool.
-    auto take = [&](std::deque<WorkItem> &q) {
-        WorkItem next = std::move(q.front());
+    auto take = [&](RunQueue &q) {
+        WorkItem &next = q.front();
+        startOn(core_idx, next.duration, next.label, next.done);
         q.pop_front();
-        startOn(core_idx, std::move(next));
     };
     if (!c.high.empty())
         take(c.high);

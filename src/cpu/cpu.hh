@@ -19,12 +19,12 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include <algorithm>
 
 #include "simcore/coro.hh"
+#include "simcore/pool.hh"
 #include "simcore/sim.hh"
 #include "simcore/smallfn.hh"
 #include "simcore/telemetry/registry.hh"
@@ -202,26 +202,36 @@ class CpuSet
         const char *label = "app";
     };
 
+    /** Run queue: nodes come from the CpuSet's pool, so queueing
+     *  work allocates nothing once the pool has grown. */
+    using RunQueue = sim::PooledFifo<WorkItem, 16>;
+
     struct Core
     {
+        explicit Core(RunQueue::NodePool &pool)
+            : high(pool), queue(pool)
+        {}
+
         bool busy = false;
         Tick runStart{};              ///< for tracing
         const char *runLabel = "app"; ///< for tracing
-        sim::SmallFn done;          ///< completion of the running item
-        std::deque<WorkItem> high;  ///< pinned interrupt-class work
-        std::deque<WorkItem> queue; ///< pinned normal work
+        sim::SmallFn done; ///< completion of the running item
+        RunQueue high;     ///< pinned interrupt-class work
+        RunQueue queue;    ///< pinned normal work
     };
 
-    void startOn(unsigned core_idx, WorkItem item);
+    void startOn(unsigned core_idx, Tick duration, const char *label,
+                 sim::SmallFn &done);
     void finishOn(unsigned core_idx);
     int findIdleCore() const;
 
     Simulation &sim_;
     sim::TraceWriter *tracer_ = nullptr;
     Tick quantum_;
+    RunQueue::NodePool workPool_; ///< outlives every run queue below
     std::vector<Core> cores_;
-    std::deque<WorkItem> globalHigh_;  ///< interrupt-class, any core
-    std::deque<WorkItem> globalQueue_; ///< normal work for any core
+    RunQueue globalHigh_;  ///< interrupt-class, any core
+    RunQueue globalQueue_; ///< normal work for any core
     unsigned busyCount_ = 0;
     Tick totalBusy_{};
     sim::stats::TimeWeighted busySignal_{0.0};

@@ -40,6 +40,7 @@
 #include "simcore/fault.hh"
 #include "simcore/shard.hh"
 #include "simcore/sim.hh"
+#include "simcore/smallfn.hh"
 
 namespace ioat::net {
 
@@ -192,15 +193,17 @@ class Switch : public sim::telemetry::Instrumented
         const auto prio = static_cast<std::uint32_t>(burst.src) + 1;
         const auto exec = static_cast<std::uint32_t>(burst.dst) + 1;
         const Tick when = src.now() + latency;
+        auto arrive = [this, burst] { deliver(burst); };
+        static_assert(sim::SmallFn::fitsInline<decltype(arrive)>(),
+                      "a burst event must keep its capture inline");
         if (group_ == nullptr ||
             portShards_[burst.src] == portShards_[burst.dst]) {
-            src.queue().scheduleCross(
-                when, prio, exec, [this, burst] { deliver(burst); });
+            src.queue().scheduleCross(when, prio, exec, std::move(arrive));
         } else {
-            group_->postCross(
-                portShards_[burst.src], portShards_[burst.dst], when,
-                prio, src.queue().drawSeq(prio), exec,
-                sim::SmallFn([this, burst] { deliver(burst); }));
+            group_->postCross(portShards_[burst.src],
+                              portShards_[burst.dst], when, prio,
+                              src.queue().drawSeq(prio), exec,
+                              sim::SmallFn(std::move(arrive)));
         }
     }
 

@@ -29,6 +29,7 @@
 #include "simcore/assert.hh"
 #include "simcore/pool.hh"
 #include "simcore/sim.hh"
+#include "simcore/smallfn.hh"
 #include "simcore/stats.hh"
 #include "simcore/telemetry/registry.hh"
 #include "simcore/types.hh"
@@ -213,9 +214,10 @@ class Nic
             burst.traceTxStart = start;
         }
 
-        sim_.queue().schedule(depart, [this, burst] {
-            fabric_.forward(burst);
-        });
+        auto forward = [this, burst] { fabric_.forward(burst); };
+        static_assert(sim::SmallFn::fitsInline<decltype(forward)>(),
+                      "a burst event must keep its capture inline");
+        sim_.queue().schedule(depart, std::move(forward));
         return depart;
     }
 
@@ -293,7 +295,10 @@ class Nic
         const Tick start = std::max(sim_.now(), rxNextFree_[port]);
         const Tick done = start + rx_time;
         rxNextFree_[port] = done;
-        sim_.queue().schedule(done, [this, burst] { rxComplete(burst); });
+        auto complete = [this, burst] { rxComplete(burst); };
+        static_assert(sim::SmallFn::fitsInline<decltype(complete)>(),
+                      "a burst event must keep its capture inline");
+        sim_.queue().schedule(done, std::move(complete));
     }
 
     /** Last bit of the burst landed in host memory via NIC DMA. */

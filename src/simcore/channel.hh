@@ -11,12 +11,12 @@
 #define IOAT_SIMCORE_CHANNEL_HH
 
 #include <cstddef>
-#include <deque>
 #include <optional>
 #include <utility>
 
 #include "simcore/assert.hh"
 #include "simcore/coro.hh"
+#include "simcore/pool.hh"
 #include "simcore/sim.hh"
 #include "simcore/sync.hh"
 
@@ -115,7 +115,10 @@ class Channel
     Simulation &sim_;
     std::size_t capacity_;
     bool closed_ = false;
-    std::deque<T> items_;
+    /** Buffer nodes are recycled, so steady traffic allocates nothing
+     *  (a std::deque frees and reallocates a chunk every few items). */
+    typename PooledFifo<T, 16>::NodePool pool_;
+    PooledFifo<T, 16> items_{pool_};
     Event notEmpty_{sim_};
     Event notFull_{sim_};
 };

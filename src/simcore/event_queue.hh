@@ -287,15 +287,7 @@ class EventQueue
         now_ = n->when;
         ++executed_;
         --size_;
-        // Move the callback out and recycle the node *before* running:
-        // the callback may schedule (possibly reusing this very slot)
-        // or cancel other events.
-        const std::uint32_t lane = n->execLane;
-        SmallFn fn = std::move(n->fn);
-        freeNode(n);
-        currentLane_ = lane;
-        fn();
-        currentLane_ = 0;
+        dispatch(n);
         return true;
     }
 
@@ -336,12 +328,7 @@ class EventQueue
                 now_ = when;
                 ++executed_;
                 --size_;
-                const std::uint32_t lane = n->execLane;
-                SmallFn fn = std::move(n->fn);
-                freeNode(n);
-                currentLane_ = lane;
-                fn();
-                currentLane_ = 0;
+                dispatch(n);
                 continue;
             }
             if (nextEventTick() > until)
@@ -482,6 +469,23 @@ class EventQueue
         freeHead_ = n->next;
         n->prev = n->next = nullptr;
         return n;
+    }
+
+    /**
+     * Run an unlinked node's callback where it lies, then recycle the
+     * node.  The generation moves first, so a handle to the running
+     * event cancels as a no-op; the node joins the free list only once
+     * the callback returns, so nothing it schedules can reuse the slot
+     * (or the storage of the callable being run).
+     */
+    void
+    dispatch(Node *n)
+    {
+        ++n->gen;
+        currentLane_ = n->execLane;
+        n->fn();
+        currentLane_ = 0;
+        freeNode(n);
     }
 
     /** Return a node (fn already empty or reset here) to the arena. */

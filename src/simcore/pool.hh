@@ -8,7 +8,8 @@
  *    never returned to the OS until the pool dies, so steady-state
  *    scheduling performs no heap traffic at all.
  *  - `PooledFifo<T>`: a FIFO queue over `Pool` nodes, replacing
- *    `std::deque` where only push_back/pop_front/front are needed.
+ *    `std::deque` where only push_back/pop_front/front are needed
+ *    (retransmission queues, CPU run queues, channel buffers).
  *  - `VectorPool<T>`: recycles `std::vector<T>` buffers (NIC receive
  *    batches) so per-interrupt vectors keep their capacity instead of
  *    being reallocated each time.
@@ -102,11 +103,14 @@ class Pool
 /**
  * FIFO queue of T backed by a `Pool`.
  *
- * Drop-in for the std::deque subset the transport uses for
- * retransmission bookkeeping: push_back / front / pop_front / empty /
- * size.  The pool may be shared by many queues (one per connection).
+ * Drop-in for the std::deque subset that retransmission queues, CPU
+ * run queues and channel buffers use: push_back / emplace_back /
+ * front / pop_front / empty / size.  The
+ * pool may be shared by many queues (one per connection or core).
+ * Owners whose queues are usually short pick a small @p ChunkSlots,
+ * so the pool's first chunk stays small too.
  */
-template <typename T>
+template <typename T, std::size_t ChunkSlots = 256>
 class PooledFifo
 {
   public:
@@ -116,9 +120,17 @@ class PooledFifo
         Node *next;
     };
 
-    using NodePool = Pool<Node>;
+    using NodePool = Pool<Node, ChunkSlots>;
 
     explicit PooledFifo(NodePool &pool) : pool_(pool) {}
+
+    /** Takes over @p o's nodes (same pool) and leaves @p o empty. */
+    PooledFifo(PooledFifo &&o) noexcept
+        : pool_(o.pool_), head_(o.head_), tail_(o.tail_), size_(o.size_)
+    {
+        o.head_ = o.tail_ = nullptr;
+        o.size_ = 0;
+    }
 
     PooledFifo(const PooledFifo &) = delete;
     PooledFifo &operator=(const PooledFifo &) = delete;
@@ -142,11 +154,16 @@ class PooledFifo
         return head_->value;
     }
 
+    void push_back(T value) { emplace_back(std::move(value)); }
+
+    /** Construct the new back element in its node, from @p args. */
+    template <typename... Args>
     void
-    push_back(T value)
+    emplace_back(Args &&...args)
     {
         Node *n = pool_.allocate();
-        ::new (static_cast<void *>(n)) Node{std::move(value), nullptr};
+        ::new (static_cast<void *>(n))
+            Node{T{std::forward<Args>(args)...}, nullptr};
         if (tail_ != nullptr)
             tail_->next = n;
         else

@@ -4,12 +4,13 @@
  *
  * `std::function` heap-allocates any capture larger than two words,
  * which on the event-queue hot path means one malloc/free per
- * scheduled burst (a NIC transmit captures a ~96-byte net::Burst by
- * value).  SmallFn keeps captures up to `kInlineBytes` inline in the
- * event node itself — nodes come from the queue's arena, so the
- * common case schedules with zero heap traffic.  Oversized captures
- * still work (they fall back to one heap cell), they just lose the
- * fast path.
+ * scheduled burst (NIC transmit, switch forward and NIC receive each
+ * capture a whole net::Burst by value).  SmallFn keeps captures up to
+ * `kInlineBytes` inline in the event node itself — nodes come from
+ * the queue's arena, so the common case schedules with zero heap
+ * traffic.  Oversized captures still work (they fall back to one heap
+ * cell), they just lose the fast path; hot call sites pin themselves
+ * to the inline path with `static_assert(SmallFn::fitsInline<F>())`.
  */
 
 #ifndef IOAT_SIMCORE_SMALLFN_HH
@@ -32,8 +33,22 @@ namespace ioat::sim {
 class SmallFn
 {
   public:
-    /** Inline capture capacity: fits [this + net::Burst] captures. */
-    static constexpr std::size_t kInlineBytes = 120;
+    /**
+     * Inline capture capacity: 128 bytes fits a [this, net::Burst]
+     * capture.  The buffer is max_align_t-aligned, so the object is
+     * 144 bytes either way (8 for the ops pointer, padded to 16).
+     */
+    static constexpr std::size_t kInlineBytes = 128;
+
+    /** True when a callable of type @p F is stored without boxing. */
+    template <typename F>
+    static constexpr bool
+    fitsInline()
+    {
+        using Fn = std::decay_t<F>;
+        return sizeof(Fn) <= kInlineBytes &&
+               alignof(Fn) <= alignof(std::max_align_t);
+    }
 
     SmallFn() = default;
 
@@ -84,8 +99,7 @@ class SmallFn
     {
         using Fn = std::decay_t<F>;
         reset();
-        if constexpr (sizeof(Fn) <= kInlineBytes &&
-                      alignof(Fn) <= alignof(std::max_align_t)) {
+        if constexpr (fitsInline<Fn>()) {
             ::new (static_cast<void *>(&buf_)) Fn(std::forward<F>(fn));
             ops_ = &inlineOps<Fn>;
         } else {
@@ -142,6 +156,12 @@ class SmallFn
     const Ops *ops_ = nullptr;
     alignas(std::max_align_t) std::byte buf_[kInlineBytes];
 };
+
+// The ops pointer takes one alignment unit ahead of the buffer; with
+// kInlineBytes a multiple of that unit there is no tail padding, so
+// every byte an event node spends on its SmallFn can hold a capture.
+static_assert(sizeof(SmallFn) ==
+              SmallFn::kInlineBytes + alignof(std::max_align_t));
 
 } // namespace ioat::sim
 

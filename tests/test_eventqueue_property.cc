@@ -11,6 +11,7 @@
  */
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -287,6 +288,107 @@ TEST(EventQueueProperty, RunUntilAcrossEmptyWindowsThenSchedule)
     q.run();
     ASSERT_EQ((std::vector<int>{0, 1, 2}), fired);
     ASSERT_TRUE(q.empty());
+}
+
+// ---- in-place invocation --------------------------------------------
+//
+// Callbacks run inside their own event node; the node is recycled only
+// after the callback returns.  These pin what a running callback may
+// do to the queue (and to itself) under that contract.
+
+TEST(EventQueueInPlace, CallbackCancellingItsOwnHandleGetsFalse)
+{
+    EventQueue q;
+    EventQueue::TimerHandle self;
+    int calls = 0;
+    bool cancelled = true;
+    self = q.scheduleIn(Tick{3}, [&] {
+        ++calls;
+        cancelled = q.cancel(self);
+    });
+    q.run();
+    EXPECT_EQ(1, calls);
+    EXPECT_FALSE(cancelled);
+    EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueueInPlace, PostAtNowRunsAfterTheRunningCallback)
+{
+    EventQueue q;
+    std::vector<int> order;
+    q.scheduleIn(Tick{5}, [&] {
+        order.push_back(1);
+        q.post([&] { order.push_back(3); });
+        order.push_back(2);
+    });
+    q.scheduleIn(Tick{5}, [&] { order.push_back(4); });
+    q.run();
+    // The post joins tick 5 behind the already-queued tie.
+    EXPECT_EQ((std::vector<int>{1, 2, 4, 3}), order);
+    EXPECT_EQ(Tick{5}, q.now());
+}
+
+TEST(EventQueueInPlace, CallbackOutlivesArenaGrowthItTriggers)
+{
+    // Scheduling from inside a callback may grow the node arena; the
+    // running callable's own captures must stay intact meanwhile.
+    EventQueue q;
+    std::array<std::uint64_t, 12> payload{};
+    for (std::size_t i = 0; i < payload.size(); ++i)
+        payload[i] = 0x9e3779b97f4a7c15ull * (i + 1);
+    std::uint64_t seen = 0;
+    int children = 0;
+    q.schedule(Tick{1}, [&q, &seen, &children, payload] {
+        for (int i = 0; i < 2000; ++i)
+            q.scheduleIn(Tick{static_cast<std::uint64_t>(i % 50)},
+                         [&children] { ++children; });
+        for (const std::uint64_t v : payload)
+            seen ^= v;
+    });
+    q.run();
+    std::uint64_t want = 0;
+    for (const std::uint64_t v : payload)
+        want ^= v;
+    EXPECT_EQ(want, seen);
+    EXPECT_EQ(2000, children);
+}
+
+TEST(EventQueueInPlace, CallbackCallingClearIsSafe)
+{
+    EventQueue q;
+    std::vector<int> fired;
+    const std::vector<int> tail{7, 8, 9};
+    q.scheduleIn(Tick{1}, [&q, &fired, tail] {
+        fired.push_back(1);
+        q.clear(); // drops 2 and 3, not the running event
+        // The running callable (and its captures) survive the clear.
+        fired.insert(fired.end(), tail.begin(), tail.end());
+        q.post([&fired] { fired.push_back(4); });
+    });
+    q.scheduleIn(Tick{1}, [&fired] { fired.push_back(2); });
+    q.scheduleIn(Tick{50000}, [&fired] { fired.push_back(3); });
+    q.run();
+    EXPECT_EQ((std::vector<int>{1, 7, 8, 9, 4}), fired);
+    EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueueInPlace, StaleHandleStaysStaleAfterNodeReuse)
+{
+    EventQueue q;
+    int firstCalls = 0;
+    int secondCalls = 0;
+    EventQueue::TimerHandle first =
+        q.scheduleIn(Tick{1}, [&firstCalls] { ++firstCalls; });
+    q.run();
+    ASSERT_EQ(1, firstCalls);
+    // The arena's free list is LIFO, so this reuses the fired node.
+    EventQueue::TimerHandle second =
+        q.scheduleIn(Tick{1}, [&secondCalls] { ++secondCalls; });
+    EXPECT_FALSE(q.cancel(first));
+    EXPECT_EQ(1u, q.size());
+    q.run();
+    EXPECT_EQ(1, secondCalls);
+    EXPECT_FALSE(q.cancel(second));
 }
 
 } // namespace
