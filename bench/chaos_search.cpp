@@ -496,6 +496,16 @@ main(int argc, char **argv)
     opts.knob("replay", &p.replay, "replay one seed and exit");
 
     return benchMain(argc, argv, opts, [&](const Options &o) {
+        // The sweep's cluster is built on the default transport; until
+        // it can be pinned, refuse the flag rather than ignore it.
+        if (o.singleTransport()) {
+            std::fprintf(stderr,
+                         "chaos_search: --transport is not supported: "
+                         "the sweep always runs the default "
+                         "transport\n");
+            o.usage(stderr);
+            return 2;
+        }
         if (p.replay != 0) {
             const auto seed = static_cast<std::uint64_t>(p.replay);
             std::vector<WindowSpec> schedule;

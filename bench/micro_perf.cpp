@@ -95,6 +95,28 @@ BM_CpuSetSubmit(benchmark::State &state)
 BENCHMARK(BM_CpuSetSubmit);
 
 void
+BM_CpuCompute(benchmark::State &state)
+{
+    // BM_CpuSetSubmit's load, driven the way the model drives it: 64
+    // coroutines each looping on co_await compute(), so one item is
+    // one awaiter queued by pointer, finished, and resumed.
+    Simulation sim;
+    cpu::CpuSet cpu(sim, {.cores = 4});
+    for (unsigned slot = 0; slot < 64; ++slot) {
+        sim.spawn([](cpu::CpuSet &c, bool high) -> Coro<void> {
+            for (;;)
+                co_await c.compute(sim::Tick{100}, cpu::CpuSet::kAnyCore,
+                                   high);
+        }(cpu, slot % 4 == 0));
+    }
+    for (auto _ : state)
+        sim.runFor(sim::microseconds(25)); // 1000 work items
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(cpu.completedItems()));
+}
+BENCHMARK(BM_CpuCompute);
+
+void
 BM_CoroutineSpawnResume(benchmark::State &state)
 {
     for (auto _ : state) {
@@ -338,7 +360,6 @@ reportRun(const ioat::bench::Options &opts)
     sim.spawn(perfSinkLoop(sink, 5001, chunk));
     sim.spawn(perfSenderLoop(sender, sink.id(), 5001, chunk));
     sim.runFor(sim::milliseconds(50));
-    opts.noteEvents(sim.executedEvents());
     tr.finish({{"workload", "stream_2node"},
                {"chunkBytes", std::to_string(chunk)}});
 }

@@ -99,8 +99,6 @@ run(IoatConfig features, const char *configName, unsigned clientNodes,
         std::chrono::duration<double>(wall1 - wall0).count();
     const std::uint64_t events = cluster.group().executedEvents();
 
-    if (report)
-        report->noteEvents(events);
     if (tr)
         tr->finish({{"clientNodes", std::to_string(clientNodes)},
                     {"config", configName}});
@@ -200,8 +198,6 @@ main(int argc, char **argv)
               << ").\nevents/sec is simulator hot-path throughput: "
                  "compare across PRs at equal cluster size and shard "
                  "count.\n";
-    for (const Point &p : points)
-        opts.noteEvents(p.events);
     return 0;
     });
 }

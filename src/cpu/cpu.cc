@@ -10,65 +10,76 @@
 namespace ioat::cpu {
 
 CpuSet::CpuSet(Simulation &sim, const CpuConfig &cfg)
-    : sim_(sim), quantum_(cfg.preemptionQuantum),
-      globalHigh_(workPool_), globalQueue_(workPool_)
+    : sim_(sim), quantum_(cfg.preemptionQuantum), cores_(cfg.cores)
 {
     sim::simAssert(cfg.cores > 0, "CpuSet needs at least one core");
     sim::simAssert(cfg.preemptionQuantum > Tick{0},
                    "preemption quantum must be positive");
-    cores_.reserve(cfg.cores);
-    for (unsigned i = 0; i < cfg.cores; ++i)
-        cores_.emplace_back(workPool_);
 }
 
 void
 CpuSet::submit(Tick duration, int core, bool highPriority,
                sim::SmallFn done)
 {
+    if (fnFree_ == nullptr) {
+        fnJobs_.push_back(std::make_unique<FnJob>(*this));
+        fnFree_ = fnJobs_.back().get();
+    }
+    FnJob &job = *fnFree_;
+    fnFree_ = static_cast<FnJob *>(job.next);
+    job.duration = duration;
+    job.fn = std::move(done);
+    enqueue(job, core, highPriority);
+}
+
+void
+CpuSet::FnJob::finished(Job *j)
+{
+    auto *self = static_cast<FnJob *>(j);
+    if (self->fn)
+        self->fn();
+    self->fn.reset();
+    self->next = self->cpu.fnFree_;
+    self->cpu.fnFree_ = self;
+}
+
+void
+CpuSet::enqueue(Job &job, int core, bool highPriority)
+{
     sim::simAssert(core == kAnyCore ||
                        (core >= 0 &&
                         core < static_cast<int>(cores_.size())),
-                   "CpuSet::submit: bad core id");
-    const char *label = highPriority ? "softirq" : "app";
+                   "CpuSet: bad core id");
+    job.label = highPriority ? "softirq" : "app";
 
-    // An idle core takes the completion straight away; only work that
-    // has to wait becomes a queued WorkItem.
     if (core == kAnyCore) {
         const int idle = findIdleCore();
         if (idle >= 0)
-            startOn(static_cast<unsigned>(idle), duration, label, done);
+            startOn(static_cast<unsigned>(idle), job);
         else
-            (highPriority ? globalHigh_ : globalQueue_)
-                .emplace_back(duration, std::move(done), label);
+            (highPriority ? globalHigh_ : globalQueue_).push(job);
         return;
     }
 
     auto &c = cores_[static_cast<unsigned>(core)];
-    if (!c.busy)
-        startOn(static_cast<unsigned>(core), duration, label, done);
+    if (c.running == nullptr)
+        startOn(static_cast<unsigned>(core), job);
     else
-        (highPriority ? c.high : c.queue)
-            .emplace_back(duration, std::move(done), label);
+        (highPriority ? c.high : c.queue).push(job);
 }
 
 void
-CpuSet::startOn(unsigned core_idx, Tick duration, const char *label,
-                sim::SmallFn &done)
+CpuSet::startOn(unsigned core_idx, Job &job)
 {
     auto &c = cores_[core_idx];
-    sim::simAssert(!c.busy, "starting work on a busy core");
-    c.busy = true;
+    sim::simAssert(c.running == nullptr, "starting work on a busy core");
+    c.running = &job;
     c.runStart = sim_.now();
-    c.runLabel = label;
-    // Park the completion on the core rather than in the finish
-    // event's capture: the event then captures two words instead of a
-    // whole SmallFn, keeping it inside the queue's inline budget.
-    c.done = std::move(done);
     ++busyCount_;
     busySignal_.update(sim_.now(), static_cast<double>(busyCount_));
-    totalBusy_ += duration;
+    totalBusy_ += job.duration;
 
-    sim_.queue().scheduleIn(duration,
+    sim_.queue().scheduleIn(job.duration,
                             [this, core_idx] { finishOn(core_idx); });
 }
 
@@ -76,48 +87,41 @@ void
 CpuSet::finishOn(unsigned core_idx)
 {
     auto &c = cores_[core_idx];
-    sim::simAssert(c.busy, "finishing work on an idle core");
+    sim::simAssert(c.running != nullptr, "finishing work on an idle core");
+    Job &done = *c.running;
     if (tracer_) {
-        tracer_->complete(c.runLabel, "cpu", c.runStart,
+        tracer_->complete(done.label, "cpu", c.runStart,
                           sim_.now() - c.runStart,
                           sim::TraceWriter::Lanes::core0 +
                               static_cast<int>(core_idx));
     }
-    c.busy = false;
+    c.running = nullptr;
     --busyCount_;
     busySignal_.update(sim_.now(), static_cast<double>(busyCount_));
     completed_.inc();
 
-    // The next item's startOn overwrites c.done, so move ours out
-    // before dispatching; it still runs after the dispatch, exactly
-    // as when the finish event carried it.
-    sim::SmallFn done = std::move(c.done);
-
+    // Start the next Job (drawing its finish event's sequence number)
+    // before the finished one's completion runs: whatever that
+    // completion schedules orders after the core's next finish.
     // Interrupt-class work first (FIFO within each class), pinned
     // work ahead of the global pool.
-    auto take = [&](RunQueue &q) {
-        WorkItem &next = q.front();
-        startOn(core_idx, next.duration, next.label, next.done);
-        q.pop_front();
-    };
     if (!c.high.empty())
-        take(c.high);
+        startOn(core_idx, c.high.pop());
     else if (!globalHigh_.empty())
-        take(globalHigh_);
+        startOn(core_idx, globalHigh_.pop());
     else if (!c.queue.empty())
-        take(c.queue);
+        startOn(core_idx, c.queue.pop());
     else if (!globalQueue_.empty())
-        take(globalQueue_);
+        startOn(core_idx, globalQueue_.pop());
 
-    if (done)
-        done();
+    done.complete(&done);
 }
 
 int
 CpuSet::findIdleCore() const
 {
     for (std::size_t i = 0; i < cores_.size(); ++i)
-        if (!cores_[i].busy)
+        if (cores_[i].running == nullptr)
             return static_cast<int>(i);
     return -1;
 }
@@ -138,9 +142,9 @@ CpuSet::resetUtilizationWindow()
 std::size_t
 CpuSet::queuedWork() const
 {
-    std::size_t n = globalQueue_.size() + globalHigh_.size();
+    std::size_t n = globalQueue_.size + globalHigh_.size;
     for (const auto &c : cores_)
-        n += c.queue.size() + c.high.size();
+        n += c.queue.size + c.high.size;
     return n;
 }
 

@@ -19,12 +19,12 @@
 
 #include <coroutine>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include <algorithm>
 
 #include "simcore/coro.hh"
-#include "simcore/pool.hh"
 #include "simcore/sim.hh"
 #include "simcore/smallfn.hh"
 #include "simcore/telemetry/registry.hh"
@@ -72,34 +72,13 @@ class CpuSet
     computeChunk(Tick duration, int core = kAnyCore,
                  bool highPriority = false)
     {
-        struct Awaiter
-        {
-            CpuSet &cpu;
-            Tick duration;
-            int core;
-            bool highPriority;
-
-            bool await_ready() const noexcept { return duration == Tick{0}; }
-
-            void
-            await_suspend(std::coroutine_handle<> h)
-            {
-                cpu.submit(duration, core, highPriority,
-                           [h] { h.resume(); });
-            }
-
-            void await_resume() const noexcept {}
-        };
-        return Awaiter{*this, duration, core, highPriority};
+        return ComputeAwaiter{*this, duration, sim::kTickMax, core,
+                              highPriority};
     }
 
     /**
      * Awaitable: occupy one core for @p duration, in preemption-
      * quantum slices unless @p highPriority.
-     *
-     * Not a coroutine: slicing is driven by a small state machine on
-     * the awaiter itself, so one compute() costs no frame allocation
-     * no matter how many slices it splits into.
      *
      * @param duration CPU time to consume
      * @param core specific core id, or kAnyCore
@@ -109,42 +88,9 @@ class CpuSet
     auto
     compute(Tick duration, int core = kAnyCore, bool highPriority = false)
     {
-        struct Awaiter
-        {
-            CpuSet &cpu;
-            Tick left;
-            int core;
-            bool highPriority;
-            std::coroutine_handle<> waiter = nullptr;
-
-            bool await_ready() const noexcept { return left == Tick{0}; }
-
-            void
-            await_suspend(std::coroutine_handle<> h)
-            {
-                waiter = h;
-                startNext();
-            }
-
-            /** Submit the next slice; resubmits from its completion. */
-            void
-            startNext()
-            {
-                const Tick slice = highPriority
-                                       ? left
-                                       : std::min(left, cpu.quantum_);
-                left -= slice;
-                cpu.submit(slice, core, highPriority, [this] {
-                    if (left > Tick{0})
-                        startNext();
-                    else
-                        waiter.resume();
-                });
-            }
-
-            void await_resume() const noexcept {}
-        };
-        return Awaiter{*this, duration, core, highPriority};
+        return ComputeAwaiter{*this, duration,
+                              highPriority ? sim::kTickMax : quantum_,
+                              core, highPriority};
     }
 
     /**
@@ -195,43 +141,145 @@ class CpuSet
     }
 
   private:
-    struct WorkItem
+    /**
+     * One unit of queued CPU work, linked into a run queue by pointer.
+     * The compute() awaiters are Jobs living in the awaiting
+     * coroutine's frame; submit() draws a pooled FnJob.  A Job is in
+     * at most one queue or on one core at a time; @c complete runs
+     * once the core has moved on to its next Job.
+     */
+    struct Job
     {
+        Job(Tick d, void (*fn)(Job *)) : duration(d), complete(fn) {}
+        /** Queued by address, so never copied or moved. */
+        Job(const Job &) = delete;
+        Job &operator=(const Job &) = delete;
+
+        Job *next = nullptr;
         Tick duration;
-        sim::SmallFn done;
         const char *label = "app";
+        void (*complete)(Job *);
     };
 
-    /** Run queue: nodes come from the CpuSet's pool, so queueing
-     *  work allocates nothing once the pool has grown. */
-    using RunQueue = sim::PooledFifo<WorkItem, 16>;
+    /**
+     * The compute()/computeChunk() awaiter.  Not a coroutine: it is
+     * itself the queued Job, living in the awaiting coroutine's frame,
+     * and re-queues itself once per slice of at most @c maxSlice, so a
+     * compute costs no frame and no allocation however it is sliced.
+     */
+    struct ComputeAwaiter : Job
+    {
+        ComputeAwaiter(CpuSet &c, Tick d, Tick max_slice, int k, bool high)
+            : Job{Tick{0}, &ComputeAwaiter::sliceDone}, cpu(c), left(d),
+              maxSlice(max_slice), core(k), highPriority(high)
+        {}
+
+        bool await_ready() const noexcept { return left == Tick{0}; }
+
+        void
+        await_suspend(std::coroutine_handle<> h)
+        {
+            waiter = h;
+            startNext();
+        }
+
+        void await_resume() const noexcept {}
+
+        /** Queue the next slice. */
+        void
+        startNext()
+        {
+            duration = std::min(left, maxSlice);
+            left -= duration;
+            cpu.enqueue(*this, core, highPriority);
+        }
+
+        static void
+        sliceDone(Job *j)
+        {
+            auto *self = static_cast<ComputeAwaiter *>(j);
+            if (self->left > Tick{0})
+                self->startNext();
+            else
+                self->waiter.resume();
+        }
+
+        CpuSet &cpu;
+        Tick left;
+        Tick maxSlice;
+        int core;
+        bool highPriority;
+        std::coroutine_handle<> waiter = nullptr;
+    };
+
+    /** Intrusive FIFO of Jobs. */
+    struct JobQueue
+    {
+        Job *head = nullptr;
+        Job *tail = nullptr;
+        std::size_t size = 0;
+
+        bool empty() const { return head == nullptr; }
+
+        void
+        push(Job &j)
+        {
+            j.next = nullptr;
+            if (tail != nullptr)
+                tail->next = &j;
+            else
+                head = &j;
+            tail = &j;
+            ++size;
+        }
+
+        Job &
+        pop()
+        {
+            Job &j = *head;
+            head = j.next;
+            if (head == nullptr)
+                tail = nullptr;
+            --size;
+            return j;
+        }
+    };
+
+    /** A submit() completion callback, recycled through fnFree_. */
+    struct FnJob : Job
+    {
+        explicit FnJob(CpuSet &c) : Job{Tick{0}, &FnJob::finished}, cpu(c)
+        {}
+
+        static void finished(Job *j);
+
+        CpuSet &cpu;
+        sim::SmallFn fn;
+    };
 
     struct Core
     {
-        explicit Core(RunQueue::NodePool &pool)
-            : high(pool), queue(pool)
-        {}
-
-        bool busy = false;
-        Tick runStart{};              ///< for tracing
-        const char *runLabel = "app"; ///< for tracing
-        sim::SmallFn done; ///< completion of the running item
-        RunQueue high;     ///< pinned interrupt-class work
-        RunQueue queue;    ///< pinned normal work
+        Job *running = nullptr; ///< null while idle
+        Tick runStart{};        ///< for tracing
+        JobQueue high;          ///< pinned interrupt-class work
+        JobQueue queue;         ///< pinned normal work
     };
 
-    void startOn(unsigned core_idx, Tick duration, const char *label,
-                 sim::SmallFn &done);
+    /** Start @p job now if a matching core is idle, else queue it. */
+    void enqueue(Job &job, int core, bool highPriority);
+    void startOn(unsigned core_idx, Job &job);
     void finishOn(unsigned core_idx);
     int findIdleCore() const;
 
     Simulation &sim_;
     sim::TraceWriter *tracer_ = nullptr;
     Tick quantum_;
-    RunQueue::NodePool workPool_; ///< outlives every run queue below
     std::vector<Core> cores_;
-    RunQueue globalHigh_;  ///< interrupt-class, any core
-    RunQueue globalQueue_; ///< normal work for any core
+    JobQueue globalHigh_;  ///< interrupt-class, any core
+    JobQueue globalQueue_; ///< normal work for any core
+    /** Every FnJob ever made; idle ones are chained on fnFree_. */
+    std::vector<std::unique_ptr<FnJob>> fnJobs_;
+    FnJob *fnFree_ = nullptr;
     unsigned busyCount_ = 0;
     Tick totalBusy_{};
     sim::stats::TimeWeighted busySignal_{0.0};

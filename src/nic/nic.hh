@@ -93,7 +93,11 @@ struct NicConfig
 class Nic
 {
   public:
-    /** Delivered-batch callback: one NIC interrupt's worth of bursts. */
+    /**
+     * Delivered-batch callback: one NIC interrupt's worth of bursts.
+     * It is always the last action of the event that calls it, so it
+     * may end in EventQueue::tailPost.
+     */
     using RxBatchHandler =
         std::function<void(unsigned queue, std::vector<Burst> &&)>;
 
@@ -341,12 +345,16 @@ class Nic
             fireInterrupt(queueFor(burst.flow));
         } else if (!q.irqScheduled) {
             q.irqScheduled = true;
-            sim_.queue().scheduleIn(
-                cfg_.coalesceDelay,
-                [this, queue = queueFor(burst.flow)] {
-                    if (rxQueues_[queue].irqScheduled)
-                        fireInterrupt(queue);
-                });
+            auto irq = [this, queue = queueFor(burst.flow)] {
+                if (rxQueues_[queue].irqScheduled)
+                    fireInterrupt(queue);
+            };
+            // Uncoalesced, the interrupt is this event's continuation:
+            // it usually runs inline (EventQueue::tailPost).
+            if (cfg_.coalesceDelay == Tick{0})
+                sim_.queue().tailPost(irq);
+            else
+                sim_.queue().scheduleIn(cfg_.coalesceDelay, irq);
         }
     }
 
@@ -369,6 +377,11 @@ class Nic
     schedulePoll(unsigned queue)
     {
         sim_.queue().scheduleIn(cfg_.pollingPeriod, [this, queue] {
+            // Re-arm first so the handler is this event's last action
+            // (it may continue inline, see EventQueue::tailPost).  The
+            // next poll is a later tick, so drawing its sequence
+            // number earlier changes no order.
+            schedulePoll(queue);
             auto &q = rxQueues_[queue];
             if (!q.pending.empty()) {
                 polls_.inc();
@@ -377,7 +390,6 @@ class Nic
                 if (rxHandler_)
                     rxHandler_(queue, std::move(batch));
             }
-            schedulePoll(queue);
         });
     }
 

@@ -204,6 +204,37 @@ class EventQueue
     }
 
     /**
+     * Run @p fn at the current time, as the caller's last action.
+     *
+     * Same order as post(fn), but @p fn runs inline when nothing
+     * pending would run between the current event and the post: the
+     * bucket of `now` is empty, or its head is on a higher lane than
+     * currentLane() (a same-lane event already queued at `now` drew a
+     * lower sequence and must run first).  Otherwise, outside an event
+     * callback, or too deeply nested, it falls back to post().
+     *
+     * The caller must do nothing after tailPost: work it did after an
+     * inline run would come after @p fn's, where a post would have put
+     * it before.  An inline run counts in executedEvents() exactly as
+     * the posted event would have.
+     */
+    template <typename F>
+    void
+    tailPost(F &&fn)
+    {
+        const Node *head = l0_[now_.count() & kL0Mask].head;
+        if (depth_ != 0 && depth_ < kMaxTailDepth &&
+            (head == nullptr || head->lane > currentLane_)) {
+            ++executed_;
+            ++depth_;
+            fn();
+            --depth_;
+            return;
+        }
+        post(std::forward<F>(fn));
+    }
+
+    /**
      * Cancel a pending event.
      * @return true if the event was still pending and is now dropped;
      *         false if it already fired, was already cancelled, or the
@@ -483,7 +514,9 @@ class EventQueue
     {
         ++n->gen;
         currentLane_ = n->execLane;
+        ++depth_;
         n->fn();
+        --depth_;
         currentLane_ = 0;
         freeNode(n);
     }
@@ -817,6 +850,10 @@ class EventQueue
     /** Per-lane sequence counters (index = lane). */
     std::vector<std::uint64_t> laneSeq_;
     std::uint32_t currentLane_ = 0;
+    /** Callbacks on the stack: dispatched events plus inline folds. */
+    unsigned depth_ = 0;
+    /** Bounds the stack a chain of folds can build. */
+    static constexpr unsigned kMaxTailDepth = 16;
     std::uint64_t executed_ = 0;
     std::size_t size_ = 0;
 };

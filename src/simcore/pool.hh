@@ -9,7 +9,7 @@
  *    scheduling performs no heap traffic at all.
  *  - `PooledFifo<T>`: a FIFO queue over `Pool` nodes, replacing
  *    `std::deque` where only push_back/pop_front/front are needed
- *    (retransmission queues, CPU run queues, channel buffers).
+ *    (retransmission queues, channel buffers, softirq mailboxes).
  *  - `VectorPool<T>`: recycles `std::vector<T>` buffers (NIC receive
  *    batches) so per-interrupt vectors keep their capacity instead of
  *    being reallocated each time.
@@ -103,8 +103,8 @@ class Pool
 /**
  * FIFO queue of T backed by a `Pool`.
  *
- * Drop-in for the std::deque subset that retransmission queues, CPU
- * run queues and channel buffers use: push_back / emplace_back /
+ * Drop-in for the std::deque subset that retransmission queues,
+ * channel buffers and softirq mailboxes use: push_back / emplace_back /
  * front / pop_front / empty / size.  The
  * pool may be shared by many queues (one per connection or core).
  * Owners whose queues are usually short pick a small @p ChunkSlots,

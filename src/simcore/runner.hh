@@ -11,6 +11,7 @@
 #ifndef IOAT_SIMCORE_RUNNER_HH
 #define IOAT_SIMCORE_RUNNER_HH
 
+#include <atomic>
 #include <cstdint>
 
 #include "simcore/types.hh"
@@ -34,6 +35,29 @@ class Runner
 
     /** Total events executed since construction (all shards). */
     virtual std::uint64_t executedEvents() const = 0;
+
+    /**
+     * Events executed by every engine of this process that has been
+     * torn down so far, on any thread: each Simulation adds its count
+     * when destroyed.  Benches report this total, so no run can go
+     * uncounted.
+     */
+    static std::uint64_t
+    retiredEvents()
+    {
+        return retired_.load(std::memory_order_relaxed);
+    }
+
+  protected:
+    /** Add one engine's final executed-event count to the total. */
+    static void
+    retire(std::uint64_t events)
+    {
+        retired_.fetch_add(events, std::memory_order_relaxed);
+    }
+
+  private:
+    inline static std::atomic<std::uint64_t> retired_{0};
 };
 
 } // namespace ioat::sim

@@ -47,6 +47,7 @@ class Simulation : public Runner
 
     ~Simulation() override
     {
+        retire(eq_.executedEvents());
         // Drop pending events first: they may hold handles into frames
         // the root teardown below is about to destroy.
         eq_.clear();

@@ -291,10 +291,9 @@ TcpStack::TcpStack(const Host &host, nic::Nic &nic, const TcpConfig &cfg)
     nic_.setRxHandler([this](unsigned queue, std::vector<Burst> &&b) {
         onRxBatch(queue, std::move(b));
     });
+    rxMailboxes_.reserve(nic_.rxQueueCount());
     for (unsigned q = 0; q < nic_.rxQueueCount(); ++q) {
-        rxChannels_.push_back(
-            std::make_unique<sim::Channel<std::vector<Burst>>>(
-                host_.sim));
+        rxMailboxes_.emplace_back(rxBatchPool_);
         host_.sim.spawn(softirqLoop(q));
     }
 }
@@ -534,18 +533,42 @@ TcpStack::rxCoreFor(unsigned queue, std::uint64_t /*flow*/) const
 void
 TcpStack::onRxBatch(unsigned queue, std::vector<Burst> &&bursts)
 {
-    sim::simAssert(queue < rxChannels_.size(), "bad RX queue");
-    rxChannels_[queue]->push(std::move(bursts));
+    sim::simAssert(queue < rxMailboxes_.size(), "bad RX queue");
+    RxMailbox &rx = rxMailboxes_[queue];
+    rx.batches.push_back(std::move(bursts));
+    // Wake an idle softirq.  The NIC calls us as its event's last
+    // action, so the wakeup usually runs inline.
+    if (rx.parked) {
+        host_.sim.queue().tailPost(
+            [h = std::exchange(rx.parked, nullptr)] { h.resume(); });
+    }
 }
 
 Coro<void>
 TcpStack::softirqLoop(unsigned queue)
 {
+    struct Park
+    {
+        RxMailbox &rx;
+
+        bool await_ready() const noexcept { return false; }
+
+        void
+        await_suspend(std::coroutine_handle<> h) noexcept
+        {
+            rx.parked = h;
+        }
+
+        void await_resume() const noexcept {}
+    };
+
+    RxMailbox &rx = rxMailboxes_[queue];
     for (;;) {
-        auto batch = co_await rxChannels_[queue]->recv();
-        if (!batch.has_value())
-            co_return;
-        co_await processBatch(queue, std::move(*batch));
+        if (rx.batches.empty())
+            co_await Park{rx};
+        std::vector<Burst> batch = std::move(rx.batches.front());
+        rx.batches.pop_front();
+        co_await processBatch(queue, std::move(batch));
     }
 }
 

@@ -19,6 +19,7 @@
 #ifndef IOAT_TCP_STACK_HH
 #define IOAT_TCP_STACK_HH
 
+#include <coroutine>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -392,9 +393,21 @@ class TcpStack
     std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t>
         synSeen_;
 
-    /** One pending-batch channel per RX queue (softirq mailboxes). */
-    std::vector<std::unique_ptr<sim::Channel<std::vector<Burst>>>>
-        rxChannels_;
+    /** Softirq mailbox of one RX queue: delivered batches in order,
+     *  and the queue's softirqLoop while it waits for one. */
+    struct RxMailbox
+    {
+        using Fifo = sim::PooledFifo<std::vector<Burst>, 16>;
+
+        explicit RxMailbox(Fifo::NodePool &pool) : batches(pool) {}
+
+        Fifo batches;
+        std::coroutine_handle<> parked = nullptr;
+    };
+
+    /** Shared by every mailbox below, so declared before them. */
+    RxMailbox::Fifo::NodePool rxBatchPool_;
+    std::vector<RxMailbox> rxMailboxes_;
 
     /** Header/metadata pool footprint (protected iff split-header). */
     mem::FootprintId hdrPool_;

@@ -391,4 +391,188 @@ TEST(EventQueueInPlace, StaleHandleStaysStaleAfterNodeReuse)
     EXPECT_FALSE(q.cancel(second));
 }
 
+// tailPost runs a same-tick continuation inline exactly when a post()
+// of it would be the next event to run anyway.
+
+TEST(EventQueueTailPost, BlockedByPendingSameLaneEventAtNow)
+{
+    EventQueue q;
+    std::vector<int> order;
+    bool inline_run = false;
+    q.scheduleIn(Tick{5}, [&] {
+        order.push_back(1);
+        q.post([&] { order.push_back(2); });
+        q.tailPost([&] { order.push_back(3); });
+        inline_run = order.back() == 3;
+    });
+    q.run();
+    EXPECT_FALSE(inline_run);
+    EXPECT_EQ((std::vector<int>{1, 2, 3}), order);
+    EXPECT_EQ(3u, q.executedEvents());
+    EXPECT_EQ(Tick{5}, q.now());
+}
+
+TEST(EventQueueTailPost, BlockedByLowerLaneEventAtNow)
+{
+    EventQueue q;
+    std::vector<int> order;
+    bool inline_run = false;
+    q.scheduleLane(Tick{5}, 3, [&] {
+        order.push_back(1);
+        q.scheduleLane(q.now(), 1, [&] { order.push_back(2); });
+        q.tailPost([&] { order.push_back(3); });
+        inline_run = order.back() == 3;
+    });
+    q.run();
+    EXPECT_FALSE(inline_run);
+    EXPECT_EQ((std::vector<int>{1, 2, 3}), order);
+    EXPECT_EQ(3u, q.executedEvents());
+}
+
+TEST(EventQueueTailPost, RunsInlineWhenOnlyHigherLanesArePending)
+{
+    EventQueue q;
+    std::vector<int> order;
+    bool inline_run = false;
+    std::uint32_t lane_seen = 0;
+    q.scheduleLane(Tick{5}, 4, [&] { order.push_back(4); });
+    q.scheduleLane(Tick{6}, 0, [&] { order.push_back(5); });
+    q.scheduleLane(Tick{5}, 2, [&] {
+        order.push_back(1);
+        q.tailPost([&] {
+            order.push_back(2);
+            lane_seen = q.currentLane();
+        });
+        inline_run = order.back() == 2;
+    });
+    q.run();
+    EXPECT_TRUE(inline_run);
+    EXPECT_EQ(2u, lane_seen);
+    EXPECT_EQ((std::vector<int>{1, 2, 4, 5}), order);
+    // The inline run still counts as the event a post would have been.
+    EXPECT_EQ(4u, q.executedEvents());
+    EXPECT_EQ(0u, q.size());
+}
+
+TEST(EventQueueTailPost, OutsideAnEventItPosts)
+{
+    EventQueue q;
+    int runs = 0;
+    q.tailPost([&runs] { ++runs; });
+    EXPECT_EQ(0, runs);
+    EXPECT_EQ(1u, q.size());
+    q.run();
+    EXPECT_EQ(1, runs);
+    EXPECT_EQ(1u, q.executedEvents());
+}
+
+namespace tailpost_diff {
+
+/** One executed event: (id, tick, lane). */
+using Trace = std::vector<std::array<std::uint64_t, 3>>;
+
+std::uint64_t
+mix(std::uint64_t x)
+{
+    x ^= x >> 31;
+    x *= 0x9e3779b97f4a7c15ull;
+    x ^= x >> 29;
+    return x;
+}
+
+/**
+ * Random multi-lane workload whose every decision hangs off the event
+ * id, so a reordering shows up in the trace instead of being masked.
+ * Each event schedules a few children (same tick, near, or far; its
+ * own lane or another), then usually ends with a same-tick
+ * continuation — through tailPost() or post() depending on @p tail.
+ */
+struct Run
+{
+    EventQueue q;
+    bool tail;
+    Trace trace;
+    std::uint64_t folds = 0;
+    std::uint64_t posts = 0;
+    bool pending = false; ///< set around the tailPost call
+
+    explicit Run(bool t) : tail(t) {}
+
+    void
+    event(std::uint64_t id, unsigned depth)
+    {
+        if (tail && pending) {
+            ++folds;
+            pending = false;
+        }
+        trace.push_back({id, q.now().count(), q.currentLane()});
+        if (depth >= 24)
+            return;
+        const std::uint64_t h = mix(id);
+        // Few generations of children, but continuation chains long
+        // enough to reach tailPost's nesting cap.
+        const unsigned kids = depth < 6 ? static_cast<unsigned>(h % 3) : 0;
+        for (unsigned k = 0; k < kids; ++k) {
+            const std::uint64_t kh = mix(h + k + 1);
+            const std::uint64_t child = id * 8 + k;
+            Tick when = q.now();
+            if (kh % 4 == 1)
+                when += Tick{1 + kh % 7};
+            else if (kh % 4 == 2)
+                when += Tick{5000 + kh % 3000};
+            auto fn = [this, child, depth] { event(child, depth + 1); };
+            if ((kh >> 8) % 2 == 0)
+                q.schedule(when, fn);
+            else
+                q.scheduleLane(when,
+                               static_cast<std::uint32_t>((kh >> 9) % 4),
+                               fn);
+        }
+        if ((h >> 16) % 8 == 0)
+            return;
+        const std::uint64_t cont = id * 8 + 7;
+        auto fn = [this, cont, depth] { event(cont, depth + 1); };
+        if (tail) {
+            pending = true;
+            q.tailPost(fn);
+            if (pending) {
+                ++posts;
+                pending = false;
+            }
+        } else {
+            q.post(fn);
+        }
+    }
+};
+
+} // namespace tailpost_diff
+
+TEST(EventQueueTailPost, SameTraceAsPostOnRandomSchedules)
+{
+    std::uint64_t folds = 0;
+    std::uint64_t posts = 0;
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        tailpost_diff::Run a(false);
+        tailpost_diff::Run b(true);
+        for (tailpost_diff::Run *r : {&a, &b}) {
+            for (std::uint64_t i = 0; i < 12; ++i) {
+                const std::uint64_t h = tailpost_diff::mix(seed * 131 + i);
+                const std::uint64_t id = seed * 1000 + i;
+                r->q.scheduleLane(Tick{h % 4}, static_cast<std::uint32_t>(
+                                                   (h >> 8) % 4),
+                                  [r, id] { r->event(id, 0); });
+            }
+            r->q.run();
+        }
+        ASSERT_EQ(a.trace, b.trace) << "seed " << seed;
+        ASSERT_EQ(a.q.executedEvents(), b.q.executedEvents());
+        ASSERT_EQ(a.trace.size(), b.q.executedEvents());
+        folds += b.folds;
+        posts += b.posts;
+    }
+    // Both branches of tailPost were exercised.
+    EXPECT_GT(folds, 100u);
+    EXPECT_GT(posts, 100u);
+}
+
 } // namespace

@@ -260,24 +260,68 @@ TEST(ModelBased, ChannelPreservesPerProducerOrder)
 TEST(ModelBased, CpuConservesWorkUnderRandomMix)
 {
     Simulation sim;
-    ioat::cpu::CpuSet cpus(sim, {.cores = 3});
+    ioat::cpu::CpuSet cpus(sim, {.cores = 3,
+                                 .preemptionQuantum = sim::Tick{2000}});
     Rng rng(31);
     sim::Tick total{};
     int done = 0;
+    std::uint64_t items = 0;
 
+    auto pickCore = [&rng] {
+        return rng.uniform() < 0.3
+                   ? static_cast<int>(rng.uniformInt(0, 2))
+                   : ioat::cpu::CpuSet::kAnyCore;
+    };
+
+    // Device-style callbacks through submit().
     for (int i = 0; i < 300; ++i) {
         const sim::Tick dur{rng.uniformInt(1, 5000)};
-        const int core = rng.uniform() < 0.3
-                             ? static_cast<int>(rng.uniformInt(0, 2))
-                             : ioat::cpu::CpuSet::kAnyCore;
+        const int core = pickCore();
         const bool high = rng.uniform() < 0.2;
         total += dur;
+        ++items;
         cpus.submit(dur, core, high, [&done] { ++done; });
+    }
+
+    // Coroutines awaiting compute(), sliced by the 2 us quantum unless
+    // high priority, interleaved with the submitted work.
+    struct Step
+    {
+        sim::Tick dur;
+        int core;
+        bool high;
+    };
+    int finished = 0;
+    int early = 0;
+    for (int t = 0; t < 40; ++t) {
+        std::vector<Step> steps;
+        for (int k = 0; k < 3; ++k) {
+            const Step st{sim::Tick{rng.uniformInt(0, 7000)}, pickCore(),
+                          rng.uniform() < 0.2};
+            total += st.dur;
+            if (st.dur > sim::Tick{0})
+                items += st.high ? 1 : (st.dur.count() + 1999) / 2000;
+            steps.push_back(st);
+        }
+        sim.spawn([](Simulation &s, ioat::cpu::CpuSet &c,
+                     std::vector<Step> work, int &fin,
+                     int &too_early) -> sim::Coro<void> {
+            for (const Step &st : work) {
+                const sim::Tick start = s.now();
+                co_await c.compute(st.dur, st.core, st.high);
+                if (s.now() - start < st.dur)
+                    ++too_early;
+            }
+            ++fin;
+        }(sim, cpus, std::move(steps), finished, early));
     }
     sim.run();
 
     EXPECT_EQ(done, 300);
+    EXPECT_EQ(finished, 40);
+    EXPECT_EQ(early, 0);
     EXPECT_EQ(cpus.totalBusyTicks(), total);
+    EXPECT_EQ(cpus.completedItems(), items);
     EXPECT_EQ(cpus.queuedWork(), 0u);
     EXPECT_EQ(cpus.busyCores(), 0u);
     // Makespan bounds: between total/3 and total.
