@@ -40,7 +40,7 @@ run(IoatConfig features, unsigned iod_count, unsigned compute_nodes,
 
     for (unsigned c = 0; c < compute_nodes; ++c) {
         const auto h =
-            rig.presizeFile("f" + std::to_string(c), region);
+            rig.presizeFile(pvfs::fileName(c), region);
         rig.sim.spawn([](pvfs::PvfsClient &cl, pvfs::FileHandle fh,
                          std::size_t bytes) -> Coro<void> {
             co_await cl.connect();

@@ -44,7 +44,7 @@ run(IoatConfig features, unsigned emulated_clients,
 
     for (unsigned c = 0; c < emulated_clients; ++c) {
         const auto h =
-            rig.presizeFile("f" + std::to_string(c), region);
+            rig.presizeFile(pvfs::fileName(c), region);
         rig.sim.spawn([](pvfs::PvfsClient &cl, pvfs::FileHandle fh,
                          std::size_t bytes) -> Coro<void> {
             co_await cl.connect();

@@ -129,8 +129,7 @@ class Node : public sim::telemetry::Instrumented, public sim::Restartable
                                   *bypass_)
                             : nullptr)
     {
-        // Exact name keyed by the cluster-global port id: per-hub
-        // auto-numbering would restart per shard.
+        // Exact name keyed by the cluster-global port id.
         sim_.telemetry().addNamed("node" + std::to_string(id()), this);
     }
 
@@ -208,9 +207,9 @@ class Node : public sim::telemetry::Instrumented, public sim::Restartable
 
     /**
      * Start a node-affine coroutine: like `simulation().spawn()` but
-     * the activity carries this node's lane, so its event keys — and
-     * with them the whole run — are invariant under resharding.
-     * Driver code spawning work that lives on a node must use this.
+     * the activity carries this node's lane, so its events order by
+     * node identity at equal ticks.  Driver code spawning work that
+     * lives on a node must use this.
      */
     void
     spawn(sim::Coro<void> body)

@@ -27,6 +27,20 @@ using FileHandle = std::uint64_t;
 
 inline constexpr FileHandle kInvalidHandle = ~FileHandle{0};
 
+/**
+ * Name of the file with name key @p key ("f<key>"): Create and Lookup
+ * requests carry the key, the manager's table stores this name.
+ */
+inline std::string
+fileName(std::uint64_t key)
+{
+    // Not "f" + std::to_string(key): GCC 12 reports a false
+    // -Wrestrict overlap in that operator+ at -O3.
+    std::string name = std::to_string(key);
+    name.insert(name.begin(), 'f');
+    return name;
+}
+
 /** Per-file metadata. */
 struct FileMeta
 {

@@ -71,14 +71,14 @@ MetadataManager::serveConnection(sock::Socket conn)
         switch (static_cast<PvfsTag>(msg->tag)) {
           case PvfsTag::Create: {
             const FileHandle h =
-                fs_.create("f" + std::to_string(msg->a));
+                fs_.create(fileName(msg->a));
             reply.a = h;
             reply.b = fs_.size(h);
             break;
           }
           case PvfsTag::Lookup: {
             const FileHandle h =
-                fs_.lookup("f" + std::to_string(msg->a));
+                fs_.lookup(fileName(msg->a));
             if (h == kInvalidHandle) {
                 reply.tag = static_cast<std::uint64_t>(PvfsTag::OpErr);
             } else {

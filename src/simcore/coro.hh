@@ -36,15 +36,9 @@ namespace detail {
  *
  * Simulated activities allocate a frame per send/recv/compute call;
  * recycling them through 64-byte size classes turns that steady-state
- * malloc/free churn into two pointer moves.  The free lists are
- * thread_local: each shard worker (simcore/shard.hh) recycles frames
- * through its own lists with no locking, exactly as the classic
- * single-threaded engine does.  A frame freed on a different thread
- * than it was allocated on simply migrates lists — the arena hands
- * out raw `::operator new` storage, so ownership is not
- * thread-bound.  A thread's lists are released when the thread exits;
- * a frame freed on it after that goes straight back to the global
- * allocator.  Oversized frames fall through to the global allocator.
+ * malloc/free churn into two pointer moves.  Recycled frames stay on
+ * the lists until the process exits.  Oversized frames fall through
+ * to the global allocator.
  */
 class FrameArena
 {
@@ -67,9 +61,7 @@ class FrameArena
     deallocate(void *p, std::size_t n)
     {
         const std::size_t b = bucket(n);
-        // A list only becomes non-empty here, so that is where the
-        // thread's reaper is armed (or found already gone).
-        if (b < kBuckets && (free_[b] != nullptr || armReaper())) {
+        if (b < kBuckets) {
             *static_cast<void **>(p) = free_[b];
             free_[b] = p;
             return;
@@ -81,45 +73,13 @@ class FrameArena
     static constexpr std::size_t kGranule = 64;
     static constexpr std::size_t kBuckets = 16; ///< recycle up to 1 KiB
 
-    /** Frees the thread's lists when the thread exits. */
-    struct Reaper
-    {
-        Reaper() = default;
-        Reaper(const Reaper &) = delete;
-        Reaper &operator=(const Reaper &) = delete;
-
-        ~Reaper()
-        {
-            for (void *&head : free_) {
-                while (head != nullptr) {
-                    void *next = *static_cast<void **>(head);
-                    ::operator delete(head);
-                    head = next;
-                }
-            }
-            reaped_ = true;
-        }
-    };
-
-    /** @return false once this thread's lists have been released. */
-    static bool
-    armReaper()
-    {
-        if (reaped_)
-            return false;
-        thread_local Reaper reaper;
-        return true;
-    }
-
     static std::size_t
     bucket(std::size_t n)
     {
         return n == 0 ? 0 : (n - 1) / kGranule;
     }
 
-    inline static thread_local void *free_[kBuckets] = {};
-    /** Trivially destructible, so still readable during thread exit. */
-    inline static thread_local bool reaped_ = false;
+    inline static void *free_[kBuckets] = {};
 };
 
 /** Shared promise behaviour: remember who awaits us, resume them last. */

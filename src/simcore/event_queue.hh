@@ -4,18 +4,14 @@
  *
  * Events are arbitrary callables scheduled at an absolute Tick.  Ties
  * are broken by a (lane, sequence) key so simulations are fully
- * deterministic *and* partition-invariant: a lane is a node-confined
- * scheduling stream (lane = NodeId + 1; lane 0 is the driver/default),
- * each lane has its own monotonic sequence counter, and an event's
- * key is fixed at schedule time.  Because a lane's sequence draws all
- * happen inside that one node's deterministic execution, the key an
- * event gets does not depend on how nodes are partitioned across
- * shards — which is what lets the sharded engine (simcore/shard.hh)
- * merge cross-shard events at horizon barriers in an order identical
- * to the single-queue run.  With everything on lane 0 (the default),
- * keys reduce to plain insertion order, the historical contract.
- * The queue itself is strictly single-threaded; parallelism happens
- * one queue per shard, above this layer.
+ * deterministic: a lane is a node-confined scheduling stream
+ * (lane = NodeId + 1; lane 0 is the driver/default), each lane has
+ * its own monotonic sequence counter, and an event's key is fixed at
+ * schedule time.  A lane's sequence draws all happen inside that one
+ * node's execution, so same-tick order between nodes is decided by
+ * node identity, not by which node happened to schedule first.  With
+ * everything on lane 0 (the default), keys reduce to plain insertion
+ * order, the historical contract.  The queue is single-threaded.
  *
  * Internally this is a three-level calendar / timer-wheel hybrid with
  * a far-horizon overflow heap, replacing the original binary heap:
@@ -114,26 +110,13 @@ class EventQueue
      */
     std::uint32_t currentLane() const { return currentLane_; }
 
-    /**
-     * Draw the next sequence number on @p lane.  Public so the shard
-     * engine can fix a cross-shard event's key on the *source* shard
-     * (where the draw is deterministic) before mailing it.
-     */
-    std::uint64_t
-    drawSeq(std::uint32_t lane)
-    {
-        if (lane >= laneSeq_.size())
-            laneSeq_.resize(lane + 1, 0);
-        return laneSeq_[lane]++;
-    }
-
     /** Schedule @p fn to run at absolute time @p when. */
     template <typename F>
     TimerHandle
     schedule(Tick when, F &&fn)
     {
-        return injectKeyed(when, currentLane_, drawSeq(currentLane_),
-                           currentLane_, std::forward<F>(fn));
+        return insert(when, currentLane_, currentLane_,
+                      std::forward<F>(fn));
     }
 
     /**
@@ -145,8 +128,7 @@ class EventQueue
     TimerHandle
     scheduleLane(Tick when, std::uint32_t lane, F &&fn)
     {
-        return injectKeyed(when, lane, drawSeq(lane), lane,
-                           std::forward<F>(fn));
+        return insert(when, lane, lane, std::forward<F>(fn));
     }
 
     /**
@@ -160,31 +142,7 @@ class EventQueue
     scheduleCross(Tick when, std::uint32_t prioLane,
                   std::uint32_t execLane, F &&fn)
     {
-        return injectKeyed(when, prioLane, drawSeq(prioLane), execLane,
-                           std::forward<F>(fn));
-    }
-
-    /**
-     * Insert an event whose full key (when, lane, seq) was already
-     * drawn elsewhere — on another shard's queue, for cross-shard
-     * mailbox delivery at a horizon barrier.  Injection *order* is
-     * irrelevant: the key alone decides execution order.
-     */
-    template <typename F>
-    TimerHandle
-    injectKeyed(Tick when, std::uint32_t lane, std::uint64_t seq,
-                std::uint32_t execLane, F &&fn)
-    {
-        simAssert(when >= now_, "event scheduled in the past");
-        Node *n = allocNode();
-        n->when = when;
-        n->seq = seq;
-        n->lane = lane;
-        n->execLane = execLane;
-        n->fn.emplace(std::forward<F>(fn));
-        place(n);
-        ++size_;
-        return TimerHandle(n, n->gen);
+        return insert(when, prioLane, execLane, std::forward<F>(fn));
     }
 
     /** Schedule @p fn to run @p delay ticks from now. */
@@ -461,6 +419,28 @@ class EventQueue
         Node *head = nullptr;
         Node *tail = nullptr;
     };
+
+    /**
+     * Insert an event keyed (when, @p lane, next sequence number on
+     * @p lane) that runs under @p execLane.
+     */
+    template <typename F>
+    TimerHandle
+    insert(Tick when, std::uint32_t lane, std::uint32_t execLane, F &&fn)
+    {
+        simAssert(when >= now_, "event scheduled in the past");
+        if (lane >= laneSeq_.size())
+            laneSeq_.resize(lane + 1, 0);
+        Node *n = allocNode();
+        n->when = when;
+        n->seq = laneSeq_[lane]++;
+        n->lane = lane;
+        n->execLane = execLane;
+        n->fn.emplace(std::forward<F>(fn));
+        place(n);
+        ++size_;
+        return TimerHandle(n, n->gen);
+    }
 
     /** The total order: (when, lane, seq). */
     static bool

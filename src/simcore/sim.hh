@@ -22,7 +22,6 @@
 #include "simcore/coro.hh"
 #include "simcore/event_queue.hh"
 #include "simcore/reqtrace.hh"
-#include "simcore/runner.hh"
 #include "simcore/telemetry/registry.hh"
 #include "simcore/types.hh"
 
@@ -38,16 +37,16 @@ namespace ioat::sim {
  *   sim.runFor(seconds(1));
  * @endcode
  */
-class Simulation : public Runner
+class Simulation
 {
   public:
     Simulation() = default;
     Simulation(const Simulation &) = delete;
     Simulation &operator=(const Simulation &) = delete;
 
-    ~Simulation() override
+    ~Simulation()
     {
-        retire(eq_.executedEvents());
+        retired_ += eq_.executedEvents();
         // Drop pending events first: they may hold handles into frames
         // the root teardown below is about to destroy.
         eq_.clear();
@@ -63,7 +62,8 @@ class Simulation : public Runner
     }
 
     EventQueue &queue() { return eq_; }
-    Tick now() const override { return eq_.now(); }
+    /** Current simulated time. */
+    Tick now() const { return eq_.now(); }
 
     /**
      * Component directory for the telemetry hierarchy walk: top-level
@@ -151,16 +151,20 @@ class Simulation : public Runner
     /** @name Event-loop drivers (see EventQueue)
      *  @{ */
     void runFor(Tick duration) { eq_.runFor(duration); }
-    void runUntil(Tick when) override { eq_.runUntil(when); }
+    void runUntil(Tick when) { eq_.runUntil(when); }
     std::uint64_t run(std::uint64_t limit = ~std::uint64_t{0})
     {
         return eq_.run(limit);
     }
-    std::uint64_t executedEvents() const override
-    {
-        return eq_.executedEvents();
-    }
+    std::uint64_t executedEvents() const { return eq_.executedEvents(); }
     /** @} */
+
+    /**
+     * Events executed by every Simulation of this process that has
+     * been torn down so far: each one adds its count when destroyed.
+     * Benches report this total, so no run can go uncounted.
+     */
+    static std::uint64_t retiredEvents() { return retired_; }
 
   private:
     struct RootPromise;
@@ -233,6 +237,8 @@ class Simulation : public Runner
      * find a live tracer.
      */
     std::unique_ptr<RequestTracer> reqTracer_;
+
+    inline static std::uint64_t retired_ = 0;
 };
 
 } // namespace ioat::sim

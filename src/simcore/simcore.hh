@@ -11,11 +11,7 @@
 #include "simcore/coro.hh"
 #include "simcore/event_queue.hh"
 #include "simcore/fault.hh"
-#include "simcore/log.hh"
-#include "simcore/mutex.hh"
 #include "simcore/random.hh"
-#include "simcore/runner.hh"
-#include "simcore/shard.hh"
 #include "simcore/sim.hh"
 #include "simcore/stats.hh"
 #include "simcore/sync.hh"

@@ -7,7 +7,8 @@
  * insertion order is the same-tick FIFO contract).  Delay
  * distributions are chosen to hit every residence class: same-tick
  * posts, the L0 one-tick buckets, the L1/L2 coarse wheels, and the
- * far-horizon overflow heap.
+ * far-horizon overflow heap.  The lane tests pin the (when, lane,
+ * seq) order that decides same-tick execution between nodes.
  */
 
 #include <algorithm>
@@ -288,6 +289,115 @@ TEST(EventQueueProperty, RunUntilAcrossEmptyWindowsThenSchedule)
     q.run();
     ASSERT_EQ((std::vector<int>{0, 1, 2}), fired);
     ASSERT_TRUE(q.empty());
+}
+
+// ---- lanes ------------------------------------------------------------
+//
+// Same-tick order is the (when, lane, seq) key: a lane is a node's
+// scheduling stream and seq counts that lane's schedules.  These pin
+// lane inheritance, the switch's priority/exec lane split, and the
+// total order itself.
+
+TEST(EventQueueLanes, EventsInheritExecutingLane)
+{
+    EventQueue eq;
+    std::vector<std::uint32_t> lanesSeen;
+    // Root event on lane 3 schedules a child with no explicit lane:
+    // the child must inherit lane 3, transitively.
+    eq.scheduleLane(Tick{1}, 3, [&] {
+        lanesSeen.push_back(eq.currentLane());
+        eq.schedule(Tick{2}, [&] {
+            lanesSeen.push_back(eq.currentLane());
+            eq.schedule(Tick{3},
+                        [&] { lanesSeen.push_back(eq.currentLane()); });
+        });
+    });
+    eq.run();
+    EXPECT_EQ(lanesSeen, (std::vector<std::uint32_t>{3, 3, 3}));
+}
+
+TEST(EventQueueLanes, ScheduleCrossReattributesLanes)
+{
+    EventQueue eq;
+    std::uint32_t execLaneSeen = 0;
+    std::uint32_t childLane = 0;
+    // A lane-5 sender hands off to exec-lane 9 (the receiving node):
+    // the handler runs *as* lane 9 and its children stay on lane 9 —
+    // exactly what the switch does at a node boundary.
+    eq.scheduleLane(Tick{1}, 5, [&] {
+        eq.scheduleCross(Tick{4}, 5, 9, [&] {
+            execLaneSeen = eq.currentLane();
+            eq.schedule(Tick{5}, [&] { childLane = eq.currentLane(); });
+        });
+    });
+    eq.run();
+    EXPECT_EQ(execLaneSeen, 9u);
+    EXPECT_EQ(childLane, 9u);
+}
+
+TEST(EventQueueLanes, CrossPriorityLaneOrdersAgainstSenderLane)
+{
+    // Two same-tick events: one local to lane 7, one cross-scheduled
+    // with priority lane 5 (exec lane 9).  Priority lane orders them:
+    // 5 runs before 7 even though its *execution* lane is 9.
+    EventQueue eq;
+    std::vector<int> order;
+    eq.scheduleLane(Tick{1}, 7, [&] {
+        eq.schedule(Tick{4}, [&] { order.push_back(7); });
+    });
+    eq.scheduleLane(Tick{1}, 5, [&] {
+        eq.scheduleCross(Tick{4}, 5, 9, [&] { order.push_back(5); });
+    });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{5, 7}));
+}
+
+TEST(EventQueueLanes, MergeOrderIsTotalAndStable)
+{
+    // A grid of (when, lane) pairs with deliberate tick and lane
+    // collisions, each pair scheduled twice, over ticks that land in
+    // every residence class (L0, L1, L2, overflow heap).
+    struct Ev
+    {
+        Tick when;
+        std::uint32_t lane;
+        int id;
+    };
+    std::vector<Ev> events;
+    int id = 0;
+    for (Tick when : {Tick{5}, Tick{1}, Tick{12}, Tick{9}, Tick{6000},
+                      Tick{std::uint64_t{1} << 21},
+                      Tick{std::uint64_t{1} << 30}})
+        for (std::uint32_t lane : {2u, 0u, 7u})
+            for (int copy = 0; copy < 2; ++copy)
+                events.push_back({when, lane, id++});
+
+    // Any schedule order must execute as the stable sort of that
+    // order by (when, lane): ties on both fall back to schedule
+    // order, which is the lane's seq.
+    std::mt19937_64 rng(2026);
+    for (int trial = 0; trial < 32; ++trial) {
+        if (trial > 0)
+            std::shuffle(events.begin(), events.end(), rng);
+        EventQueue eq;
+        std::vector<int> order;
+        for (const Ev &e : events)
+            eq.scheduleLane(e.when, e.lane,
+                            [&order, i = e.id] { order.push_back(i); });
+        eq.run();
+
+        std::vector<Ev> sorted = events;
+        std::stable_sort(sorted.begin(), sorted.end(),
+                         [](const Ev &a, const Ev &b) {
+                             if (a.when != b.when)
+                                 return a.when < b.when;
+                             return a.lane < b.lane;
+                         });
+        ASSERT_EQ(order.size(), sorted.size());
+        for (std::size_t i = 0; i < sorted.size(); ++i)
+            EXPECT_EQ(order[i], sorted[i].id)
+                << "trial " << trial << ", position " << i;
+    }
 }
 
 // ---- in-place invocation --------------------------------------------

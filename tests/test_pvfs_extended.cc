@@ -214,7 +214,8 @@ TEST(PvfsDeployment, MoreIodNodesIncreaseAggregateBandwidth)
         for (int c = 0; c < 4; ++c) {
             clients.push_back(rig.fsd->makeClient(rig.computeNode()));
             const auto h = rig.fsd->presizeFile(
-                "f" + std::to_string(c), 12 * 1024 * 1024);
+                pvfs::fileName(static_cast<std::uint64_t>(c)),
+                12 * 1024 * 1024);
             rig.sim.spawn([](pvfs::PvfsClient &cl, pvfs::FileHandle fh)
                               -> Coro<void> {
                 co_await cl.connect();

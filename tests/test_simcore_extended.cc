@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the simcore extensions: Mutex, timeouts, Stopwatch,
+ * Tests for the simcore extensions: timeouts, Stopwatch,
  * periodic drivers, and the per-node statistics snapshots.
  */
 
@@ -16,66 +16,6 @@ using namespace ioat;
 using sim::Coro;
 using sim::Simulation;
 using sim::Tick;
-
-// --------------------------------------------------------------------
-// Mutex
-// --------------------------------------------------------------------
-
-TEST(Mutex, ProvidesMutualExclusion)
-{
-    Simulation sim;
-    sim::Mutex mu(sim);
-    int inside = 0, max_inside = 0, done = 0;
-    for (int i = 0; i < 5; ++i) {
-        sim.spawn([](Simulation &s, sim::Mutex &m, int &in, int &mx,
-                     int &dn) -> Coro<void> {
-            auto guard = co_await m.lock();
-            ++in;
-            mx = std::max(mx, in);
-            co_await s.delay(ioat::sim::Tick{10});
-            --in;
-            ++dn;
-        }(sim, mu, inside, max_inside, done));
-    }
-    sim.run();
-    EXPECT_EQ(done, 5);
-    EXPECT_EQ(max_inside, 1);
-    EXPECT_EQ(sim.now(), ioat::sim::Tick{50});
-    EXPECT_FALSE(mu.locked());
-}
-
-TEST(Mutex, TryLockFailsWhileHeld)
-{
-    Simulation sim;
-    sim::Mutex mu(sim);
-    bool observed_contended = false;
-    sim.spawn([](Simulation &s, sim::Mutex &m, bool &obs) -> Coro<void> {
-        auto guard = co_await m.lock();
-        EXPECT_FALSE(m.tryLock().has_value());
-        obs = true;
-        co_await s.delay(ioat::sim::Tick{1});
-    }(sim, mu, observed_contended));
-    sim.run();
-    EXPECT_TRUE(observed_contended);
-    auto g = mu.tryLock();
-    EXPECT_TRUE(g.has_value());
-}
-
-TEST(Mutex, GuardMoveTransfersOwnership)
-{
-    Simulation sim;
-    sim::Mutex mu(sim);
-    bool done = false;
-    sim.spawn([](sim::Mutex &m, bool &f) -> Coro<void> {
-        auto g1 = co_await m.lock();
-        sim::Mutex::Guard g2 = std::move(g1);
-        // Only g2 unlocks; no double-unlock panic on scope exit.
-        f = true;
-    }(mu, done));
-    sim.run();
-    EXPECT_TRUE(done);
-    EXPECT_FALSE(mu.locked());
-}
 
 // --------------------------------------------------------------------
 // waitWithTimeout / Stopwatch / everyUntil

@@ -33,17 +33,14 @@ Rules
                   src/: model output flows through the telemetry
                   registry / RunReport / sim::Table so every run
                   artifact is machine-readable and diffable.  The
-                  sanctioned sinks are src/simcore/log.hh (leveled
-                  stderr logging) and src/simcore/assert.hh (panics).
+                  sanctioned sink is src/simcore/assert.hh (panics).
                   String *formatting* (strprintf/vsnprintf) is fine.
   raw-thread      no std::thread/mutex/condition_variable/atomic,
-                  thread_local, locks or futures outside src/simcore/:
-                  the sharded executor (shard.hh) owns ALL real
-                  concurrency, and model code stays single-threaded
-                  per shard so shard-equivalence (ctest -L shard) can
-                  hold.  Model-visible shared state goes through the
-                  wrappers in src/simcore/stats.hh (Counter, Flag,
-                  Level) or per-node partials merged in node order.
+                  thread_local, locks or futures anywhere: the
+                  simulator is one single-threaded event loop, so
+                  shared state is plain fields and counters
+                  (src/simcore/stats.hh) — a thread would only add
+                  nondeterminism.
 
 Suppressions
 ------------
@@ -90,15 +87,7 @@ EXEMPT = {
     "raw-random": ("src/simcore/random.hh",),
     "raw-new": ("src/simcore/pool.hh",),
     "float-tick": ("src/simcore/types.hh",),
-    "raw-stdout": ("src/simcore/log.hh", "src/simcore/assert.hh"),
-}
-
-# Directories whose whole subtree is the sanctioned implementation.
-EXEMPT_DIRS = {
-    # simcore owns the executor: the shard workers/barrier/mailboxes,
-    # the coroutine arena's thread-local free lists and the atomic
-    # stats wrappers are exactly the code the rule funnels others to.
-    "raw-thread": ("src/simcore/",),
+    "raw-stdout": ("src/simcore/assert.hh",),
 }
 
 SOURCE_SUFFIXES = {".hh", ".cc", ".cpp", ".hpp", ".cxx"}
@@ -209,8 +198,7 @@ def lint_file(path, rel):
 
     def exempt(rule):
         norm = rel.replace("\\", "/")
-        return any(norm.endswith(e) for e in EXEMPT.get(rule, ())) or \
-            any(d in norm for d in EXEMPT_DIRS.get(rule, ()))
+        return any(norm.endswith(e) for e in EXEMPT.get(rule, ()))
 
     def report(lineno, rule, message):
         if rule in allows.get(lineno, ()):
@@ -250,16 +238,14 @@ def lint_file(path, rel):
             report(
                 lineno, "raw-stdout",
                 "raw console I/O; emit run artifacts through the "
-                "telemetry registry / RunReport / sim::Table (leveled "
-                "diagnostics go through src/simcore/log.hh)",
+                "telemetry registry / RunReport / sim::Table",
             )
         if not exempt("raw-thread") and RAW_THREAD_RE.search(line):
             report(
                 lineno, "raw-thread",
-                "raw threading primitive; real concurrency lives only "
-                "in src/simcore/ (the sharded executor) — use "
-                "sim::stats::Counter/Flag/Level or per-node partials "
-                "for shared state",
+                "raw threading primitive; the simulator is "
+                "single-threaded — use plain fields or "
+                "sim::stats::Counter for shared state",
             )
         if not exempt("float-tick") and FLOAT_TICK_RE.search(line):
             report(

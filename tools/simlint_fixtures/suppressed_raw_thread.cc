@@ -2,7 +2,7 @@
 // be counted against the suppression budget.
 #include <atomic>
 
-// simlint: allow(raw-thread) interop shim measured by the TSan job
+// simlint: allow(raw-thread) interop shim for a threaded host library
 std::atomic<int> interopFlag{0};
 
 int
