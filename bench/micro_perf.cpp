@@ -213,14 +213,15 @@ BM_DmaEngineTransferSim(benchmark::State &state)
 }
 BENCHMARK(BM_DmaEngineTransferSim);
 
-// ---- TCP stream workloads ------------------------------------------
+// ---- Stream workloads ----------------------------------------------
 //
 // End-to-end hot-path throughput: full nodes (NIC + stack + CPU model)
-// streaming 64K chunks.  items/sec in the report is simulator
-// *events/sec* — the headline number for comparing event-loop and
-// stack changes across trees.  The cluster variant carries the large
-// event population (64 concurrent flows plus their RTO bookkeeping)
-// where calendar-queue behaviour dominates heap behaviour.
+// streaming 64K chunks over TCP or the kernel-bypass transport.
+// items/sec in the report is simulator *events/sec* — the headline
+// number for comparing event-loop and stack changes across trees.
+// The cluster variant carries the large event population (64
+// concurrent flows plus their RTO bookkeeping) where calendar-queue
+// behaviour dominates heap behaviour.
 
 Coro<void>
 perfSinkLoop(Node &node, std::uint16_t port, std::size_t chunk)
@@ -250,11 +251,13 @@ perfSenderLoop(Node &node, net::NodeId dst, std::uint16_t port,
 
 std::uint64_t
 runStreamWorkload(unsigned senderNodes, unsigned flowsPerNode,
-                  sim::Tick duration)
+                  sim::Tick duration,
+                  core::TransportKind transport = core::TransportKind::tcp)
 {
     Simulation sim;
     net::Switch fabric(sim, sim::nanoseconds(2000));
-    const NodeConfig cfg = NodeConfig::server(IoatConfig::disabled(), 1);
+    NodeConfig cfg = NodeConfig::server(IoatConfig::disabled(), 1);
+    cfg.transport = transport;
     Node sink(sim, fabric, cfg);
     std::vector<std::unique_ptr<Node>> senders;
     for (unsigned i = 0; i < senderNodes; ++i)
@@ -282,6 +285,19 @@ BM_TcpStream2Node(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(events));
 }
 BENCHMARK(BM_TcpStream2Node)->Unit(benchmark::kMillisecond);
+
+void
+BM_BypassStream2Node(benchmark::State &state)
+{
+    // The same stream over the kernel-bypass transport: the xpt poll
+    // loop's receive path instead of the TCP softirq.
+    std::uint64_t events = 0;
+    for (auto _ : state)
+        events += runStreamWorkload(1, 1, sim::milliseconds(200),
+                                    core::TransportKind::bypass);
+    state.SetItemsProcessed(static_cast<std::int64_t>(events));
+}
+BENCHMARK(BM_BypassStream2Node)->Unit(benchmark::kMillisecond);
 
 void
 BM_TcpStreamCluster(benchmark::State &state)

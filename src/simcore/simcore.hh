@@ -11,6 +11,7 @@
 #include "simcore/coro.hh"
 #include "simcore/event_queue.hh"
 #include "simcore/fault.hh"
+#include "simcore/mailbox.hh"
 #include "simcore/random.hh"
 #include "simcore/sim.hh"
 #include "simcore/stats.hh"

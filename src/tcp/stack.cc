@@ -21,6 +21,7 @@ Connection::Connection(Key, TcpStack &stack, std::uint64_t local_token)
       establishedEvt_(stack.host_.sim),
       creditAvail_(stack.host_.sim),
       rxReady_(stack.host_.sim),
+      metaQueue_(stack.metaPool_),
       retransQ_(stack.txSegPool_),
       txActivity_(stack.host_.sim),
       ackProgress_(stack.host_.sim)
@@ -293,7 +294,7 @@ TcpStack::TcpStack(const Host &host, nic::Nic &nic, const TcpConfig &cfg)
     });
     rxMailboxes_.reserve(nic_.rxQueueCount());
     for (unsigned q = 0; q < nic_.rxQueueCount(); ++q) {
-        rxMailboxes_.emplace_back(rxBatchPool_);
+        rxMailboxes_.emplace_back(host_.sim.queue(), rxBatchPool_);
         host_.sim.spawn(softirqLoop(q));
     }
 }
@@ -534,322 +535,295 @@ void
 TcpStack::onRxBatch(unsigned queue, std::vector<Burst> &&bursts)
 {
     sim::simAssert(queue < rxMailboxes_.size(), "bad RX queue");
-    RxMailbox &rx = rxMailboxes_[queue];
-    rx.batches.push_back(std::move(bursts));
-    // Wake an idle softirq.  The NIC calls us as its event's last
-    // action, so the wakeup usually runs inline.
-    if (rx.parked) {
-        host_.sim.queue().tailPost(
-            [h = std::exchange(rx.parked, nullptr)] { h.resume(); });
-    }
+    // The NIC calls us as its event's last action, so an idle
+    // softirq's wakeup usually runs inline.
+    rxMailboxes_[queue].push(std::move(bursts));
 }
 
 Coro<void>
 TcpStack::softirqLoop(unsigned queue)
 {
-    struct Park
-    {
-        RxMailbox &rx;
-
-        bool await_ready() const noexcept { return false; }
-
-        void
-        await_suspend(std::coroutine_handle<> h) noexcept
-        {
-            rx.parked = h;
-        }
-
-        void await_resume() const noexcept {}
-    };
-
-    RxMailbox &rx = rxMailboxes_[queue];
+    // One pass per delivered batch, in this frame: a batch costs no
+    // nested coroutine.
     for (;;) {
-        if (rx.batches.empty())
-            co_await Park{rx};
-        std::vector<Burst> batch = std::move(rx.batches.front());
-        rx.batches.pop_front();
-        co_await processBatch(queue, std::move(batch));
-    }
-}
+        std::vector<Burst> bursts = co_await rxMailboxes_[queue].recv();
 
-Coro<void>
-TcpStack::processBatch(unsigned queue, std::vector<Burst> bursts)
-{
-    const int core = rxCoreFor(queue, bursts.front().flow);
+        const int core = rxCoreFor(queue, bursts.front().flow);
 
-    // NIC receive DMA deposited all of this into host memory.
-    std::size_t wire_total = 0;
-    for (const auto &b : bursts)
-        wire_total += b.wireBytes;
-    host_.bus.consume(sim::Bytes{wire_total});
-    const double bus_factor = host_.bus.slowdown();
-    sim::RequestTracer *rt = host_.sim.requestTracer();
+        // NIC receive DMA deposited all of this into host memory.
+        std::size_t wire_total = 0;
+        for (const auto &b : bursts)
+            wire_total += b.wireBytes;
+        host_.bus.consume(sim::Bytes{wire_total});
+        const double bus_factor = host_.bus.slowdown();
+        sim::RequestTracer *rt = host_.sim.requestTracer();
 
-    /** Per-traced-burst attribution shares, anchored after compute. */
-    struct RxAttr
-    {
-        sim::TraceContext ctx;
-        Tick off;      ///< cost accumulated before this burst
-        Tick driver;
-        Tick proto;
-        Tick touchHot;
-        Tick touchMiss;
-        Tick wakeup;
-        Tick ack;
-    };
-    std::vector<RxAttr> attrs;
+        /** Per-traced-burst attribution shares, anchored after compute. */
+        struct RxAttr
+        {
+            sim::TraceContext ctx;
+            Tick off;      ///< cost accumulated before this burst
+            Tick driver;
+            Tick proto;
+            Tick touchHot;
+            Tick touchMiss;
+            Tick wakeup;
+            Tick ack;
+        };
+        std::vector<RxAttr> attrs;
 
-    // ---- pass 1: accumulate the CPU cost of this softirq batch ----
-    Tick cost =
-        nic_.pollingMode() ? cfg_.rxPollEntry : cfg_.rxIrqEntry;
-    for (const auto &b : bursts) {
-        const Tick burst_off = cost;
-        cost += cfg_.rxPerFrame * b.frames;
-        switch (static_cast<BurstKind>(b.kind)) {
-          case BurstKind::Data: {
-            const double hdr_res =
-                cfg_.splitHeader ? 1.0 : host_.cache.residency(hdrPool_);
-            // Convex response: losing the last of the header pool's
-            // residency hurts much more than mild pressure (misses
-            // compound with DRAM queueing once the pool is evicted).
-            const double miss = 1.0 - hdr_res;
-            const double factor =
-                1.0 + cfg_.rxHdrMissFactor * miss * miss;
-            const Tick proto = sim::ticksFromDouble(
-                static_cast<double>(cfg_.rxProtoPerFrame.count()) *
-                b.frames * factor);
-            cost += proto;
-            Tick touch_cost{};
-            std::size_t touch = 0;
-            if (!cfg_.splitHeader && cfg_.rxPayloadTouchFraction > 0.0) {
-                // Headers and payload share buffers: protocol work
-                // drags payload lines through the cache.
-                touch = static_cast<std::size_t>(
-                    b.payloadBytes * cfg_.rxPayloadTouchFraction);
-                touch_cost = host_.copy.touchTime(sim::Bytes{touch},
-                                                  hdr_res, bus_factor);
-                cost += touch_cost;
-                host_.bus.consume(sim::Bytes{touch});
-                noteStreamBytes(sim::Bytes{touch});
-            }
-            Tick wakeup{};
-            if (connFor(b.connToken)->rxWaiting_) {
-                wakeup = cfg_.rxWakeup;
-                cost += wakeup;
-            }
-            Tick ack{};
-            if (cfg_.reliable) {
-                ack = cfg_.ackGenCost; // cumulative DataAck per burst
-                cost += ack;
-            }
-            rxSegments_.inc();
-            if (rt && b.trace != 0) {
-                RxAttr a;
-                a.ctx = sim::TraceContext::unpack(b.trace);
-                a.off = burst_off;
-                a.driver = cfg_.rxPerFrame * b.frames;
-                a.proto = proto;
-                if (touch_cost > Tick{}) {
-                    const Tick hot = std::min(
-                        host_.copy.touchTime(sim::Bytes{touch}, 1.0,
-                                             1.0),
-                        touch_cost);
-                    a.touchHot = hot;
-                    a.touchMiss = touch_cost - hot;
+        // ---- pass 1: accumulate the CPU cost of this softirq batch ----
+        Tick cost =
+            nic_.pollingMode() ? cfg_.rxPollEntry : cfg_.rxIrqEntry;
+        for (const auto &b : bursts) {
+            const Tick burst_off = cost;
+            cost += cfg_.rxPerFrame * b.frames;
+            switch (static_cast<BurstKind>(b.kind)) {
+              case BurstKind::Data: {
+                const double hdr_res =
+                    cfg_.splitHeader ? 1.0 : host_.cache.residency(hdrPool_);
+                // Convex response: losing the last of the header pool's
+                // residency hurts much more than mild pressure (misses
+                // compound with DRAM queueing once the pool is evicted).
+                const double miss = 1.0 - hdr_res;
+                const double factor =
+                    1.0 + cfg_.rxHdrMissFactor * miss * miss;
+                const Tick proto = sim::ticksFromDouble(
+                    static_cast<double>(cfg_.rxProtoPerFrame.count()) *
+                    b.frames * factor);
+                cost += proto;
+                Tick touch_cost{};
+                std::size_t touch = 0;
+                if (!cfg_.splitHeader && cfg_.rxPayloadTouchFraction > 0.0) {
+                    // Headers and payload share buffers: protocol work
+                    // drags payload lines through the cache.
+                    touch = static_cast<std::size_t>(
+                        b.payloadBytes * cfg_.rxPayloadTouchFraction);
+                    touch_cost = host_.copy.touchTime(sim::Bytes{touch},
+                                                      hdr_res, bus_factor);
+                    cost += touch_cost;
+                    host_.bus.consume(sim::Bytes{touch});
+                    noteStreamBytes(sim::Bytes{touch});
                 }
-                a.wakeup = wakeup;
-                a.ack = ack;
-                attrs.push_back(a);
+                Tick wakeup{};
+                if (connFor(b.connToken)->rxWaiting_) {
+                    wakeup = cfg_.rxWakeup;
+                    cost += wakeup;
+                }
+                Tick ack{};
+                if (cfg_.reliable) {
+                    ack = cfg_.ackGenCost; // cumulative DataAck per burst
+                    cost += ack;
+                }
+                rxSegments_.inc();
+                if (rt && b.trace != 0) {
+                    RxAttr a;
+                    a.ctx = sim::TraceContext::unpack(b.trace);
+                    a.off = burst_off;
+                    a.driver = cfg_.rxPerFrame * b.frames;
+                    a.proto = proto;
+                    if (touch_cost > Tick{}) {
+                        const Tick hot = std::min(
+                            host_.copy.touchTime(sim::Bytes{touch}, 1.0,
+                                                 1.0),
+                            touch_cost);
+                        a.touchHot = hot;
+                        a.touchMiss = touch_cost - hot;
+                    }
+                    a.wakeup = wakeup;
+                    a.ack = ack;
+                    attrs.push_back(a);
+                }
+                break;
+              }
+              case BurstKind::Ack:
+                cost += cfg_.txAckProcess;
+                break;
+              case BurstKind::Syn:
+                cost += cfg_.connSetupCost;
+                break;
+              case BurstKind::SynAck:
+              case BurstKind::Fin:
+              case BurstKind::DataAck:
+              case BurstKind::WinProbe:
+                cost += cfg_.txAckProcess;
+                break;
             }
-            break;
-          }
-          case BurstKind::Ack:
-            cost += cfg_.txAckProcess;
-            break;
-          case BurstKind::Syn:
-            cost += cfg_.connSetupCost;
-            break;
-          case BurstKind::SynAck:
-          case BurstKind::Fin:
-          case BurstKind::DataAck:
-          case BurstKind::WinProbe:
-            cost += cfg_.txAckProcess;
-            break;
         }
-    }
 
-    co_await host_.cpu.compute(cost, core, /*highPriority=*/true);
+        co_await host_.cpu.compute(cost, core, /*highPriority=*/true);
 
-    if (rt && !attrs.empty()) {
-        // The batch's busy interval is the contiguous tail
-        // [t1 - cost, t1]; each burst's shares lie sequentially at its
-        // accumulated offset.  The softirq entry cost and control-burst
-        // costs stay unattributed (request residue), by design.
-        const Tick base = host_.sim.now() - cost;
-        for (const auto &a : attrs)
-            rt->recordComponents(
-                a.ctx, base + a.off, core,
-                {{"rx.driver", sim::CostCat::cpu, a.driver},
-                 {"rx.proto", sim::CostCat::cpu, a.proto},
-                 {"rx.touch", sim::CostCat::memcpy, a.touchHot},
-                 {"rx.touch-miss", sim::CostCat::cache, a.touchMiss},
-                 {"rx.wakeup", sim::CostCat::cpu, a.wakeup},
-                 {"rx.ack", sim::CostCat::cpu, a.ack}});
-    }
+        if (rt && !attrs.empty()) {
+            // The batch's busy interval is the contiguous tail
+            // [t1 - cost, t1]; each burst's shares lie sequentially at its
+            // accumulated offset.  The softirq entry cost and control-burst
+            // costs stay unattributed (request residue), by design.
+            const Tick base = host_.sim.now() - cost;
+            for (const auto &a : attrs)
+                rt->recordComponents(
+                    a.ctx, base + a.off, core,
+                    {{"rx.driver", sim::CostCat::cpu, a.driver},
+                     {"rx.proto", sim::CostCat::cpu, a.proto},
+                     {"rx.touch", sim::CostCat::memcpy, a.touchHot},
+                     {"rx.touch-miss", sim::CostCat::cache, a.touchMiss},
+                     {"rx.wakeup", sim::CostCat::cpu, a.wakeup},
+                     {"rx.ack", sim::CostCat::cpu, a.ack}});
+        }
 
-    // ---- pass 2: apply protocol effects ----
-    for (const auto &b : bursts) {
-        switch (static_cast<BurstKind>(b.kind)) {
-          case BurstKind::Data: {
-            Connection *c = connFor(b.connToken);
-            if (c->aborted_)
-                break; // late segment for a dead connection
-            if (!cfg_.reliable) {
-                c->rxBuffered_ += b.payloadBytes;
-                if (b.trace != 0)
-                    c->rxCtx_ = sim::TraceContext::unpack(b.trace);
-                if (b.hasMeta) {
-                    MsgMeta m;
-                    for (int i = 0; i < net::kBurstMetaWords; ++i)
-                        m.w[i] = b.meta[i];
-                    c->metaQueue_.push_back(m);
+        // ---- pass 2: apply protocol effects ----
+        for (const auto &b : bursts) {
+            switch (static_cast<BurstKind>(b.kind)) {
+              case BurstKind::Data: {
+                Connection *c = connFor(b.connToken);
+                if (c->aborted_)
+                    break; // late segment for a dead connection
+                if (!cfg_.reliable) {
+                    c->rxBuffered_ += b.payloadBytes;
+                    if (b.trace != 0)
+                        c->rxCtx_ = sim::TraceContext::unpack(b.trace);
+                    if (b.hasMeta) {
+                        MsgMeta m;
+                        for (int i = 0; i < net::kBurstMetaWords; ++i)
+                            m.w[i] = b.meta[i];
+                        c->metaQueue_.push_back(m);
+                    }
+                    c->rxReady_.pulse();
+                    break;
                 }
+                // Go-back-N receiver: accept only the in-order segment;
+                // every arrival re-acks the cumulative high-water mark.
+                const std::uint64_t seq = b.arg;
+                if (seq == c->rcvNxt_) {
+                    c->rcvNxt_ += b.payloadBytes;
+                    c->rxBuffered_ += b.payloadBytes;
+                    if (b.trace != 0)
+                        c->rxCtx_ = sim::TraceContext::unpack(b.trace);
+                    if (b.hasMeta) {
+                        MsgMeta m;
+                        for (int i = 0; i < net::kBurstMetaWords; ++i)
+                            m.w[i] = b.meta[i];
+                        c->metaQueue_.push_back(m);
+                    }
+                    c->rxReady_.pulse();
+                } else if (seq < c->rcvNxt_) {
+                    rxDups_.inc(); // retransmit of delivered data
+                } else {
+                    rxOoo_.inc(); // gap: discard, sender will resend
+                }
+                sendControl(b.src, b.flow, BurstKind::DataAck,
+                            c->remoteToken_, c->rcvNxt_);
+                break;
+              }
+              case BurstKind::Ack: {
+                Connection *c = connFor(b.connToken);
+                if (c->aborted_)
+                    break;
+                if (!cfg_.reliable) {
+                    c->credit_ += b.arg;
+                    sim::simAssert(c->credit_ <= c->peerSockBuf_,
+                                   "credit overflow (peer buffer accounting)");
+                    c->creditAvail_.pulse();
+                    break;
+                }
+                // Cumulative credit: arg is the peer's drained total, so
+                // a lost return is healed by any later one.
+                if (b.arg > c->peerDrained_) {
+                    c->peerDrained_ = b.arg;
+                    const std::uint64_t inflight =
+                        c->sndNxt_ - c->peerDrained_;
+                    c->credit_ = c->peerSockBuf_ > inflight
+                                     ? c->peerSockBuf_ - inflight
+                                     : 0;
+                    c->creditAvail_.pulse();
+                }
+                break;
+              }
+              case BurstKind::DataAck: {
+                Connection *c = connFor(b.connToken);
+                if (c->aborted_)
+                    break;
+                if (b.arg > c->sndUna_) {
+                    c->sndUna_ = b.arg;
+                    while (!c->retransQ_.empty() &&
+                           c->retransQ_.front().seq +
+                                   c->retransQ_.front().payload <=
+                               b.arg)
+                        c->retransQ_.pop_front();
+                    c->ackProgress_.trigger();
+                }
+                break;
+              }
+              case BurstKind::WinProbe: {
+                Connection *c = connFor(b.connToken);
+                if (c->aborted_)
+                    break;
+                // Re-solicited credit return (reliable mode only).
+                sendControl(b.src, b.flow, BurstKind::Ack, c->remoteToken_,
+                            c->drainedTotal_);
+                break;
+              }
+              case BurstKind::Syn: {
+                const auto port = static_cast<std::uint16_t>(b.arg);
+                auto it = listeners_.find(port);
+                if (it == listeners_.end()) {
+                    sim::fatal("connection attempt to port with no "
+                               "listener");
+                }
+                // A retransmitted SYN must not spawn a second server-side
+                // connection: resend the (possibly lost) SYN-ACK instead.
+                const auto key = std::make_pair(
+                    static_cast<std::uint64_t>(b.src), b.flow);
+                auto seen = synSeen_.find(key);
+                if (seen != synSeen_.end()) {
+                    Connection *c = connFor(seen->second);
+                    if (!c->aborted_)
+                        sendControl(b.src, b.flow, BurstKind::SynAck,
+                                    b.connToken, c->localToken_,
+                                    cfg_.sockBuf);
+                    break;
+                }
+                Connection *c = newConnection();
+                synSeen_[key] = c->localToken_;
+                c->remoteNode_ = b.src;
+                c->remoteToken_ = b.connToken;
+                c->flow_ = b.flow;
+                c->peerSockBuf_ = b.hasMeta ? b.meta[0] : cfg_.sockBuf;
+                c->credit_ = c->peerSockBuf_;
+                c->established_ = true;
+                c->establishedAt_ = host_.sim.now();
+                sendControl(b.src, b.flow, BurstKind::SynAck, b.connToken,
+                            c->localToken_, cfg_.sockBuf);
+                it->second->pending_.push(c);
+                break;
+              }
+              case BurstKind::SynAck: {
+                Connection *c = connFor(b.connToken);
+                if (c->established_ || c->aborted_)
+                    break; // duplicate SYN-ACK, or we already gave up
+                c->remoteToken_ = b.arg;
+                c->peerSockBuf_ = b.hasMeta ? b.meta[0] : cfg_.sockBuf;
+                c->credit_ = c->peerSockBuf_;
+                c->established_ = true;
+                c->establishedAt_ = host_.sim.now();
+                handshakeHist_.sample(
+                    (c->establishedAt_ - c->openedAt_).count());
+                c->establishedEvt_.trigger();
+                break;
+              }
+              case BurstKind::Fin: {
+                Connection *c = connFor(b.connToken);
+                c->peerClosed_ = true;
                 c->rxReady_.pulse();
                 break;
+              }
             }
-            // Go-back-N receiver: accept only the in-order segment;
-            // every arrival re-acks the cumulative high-water mark.
-            const std::uint64_t seq = b.arg;
-            if (seq == c->rcvNxt_) {
-                c->rcvNxt_ += b.payloadBytes;
-                c->rxBuffered_ += b.payloadBytes;
-                if (b.trace != 0)
-                    c->rxCtx_ = sim::TraceContext::unpack(b.trace);
-                if (b.hasMeta) {
-                    MsgMeta m;
-                    for (int i = 0; i < net::kBurstMetaWords; ++i)
-                        m.w[i] = b.meta[i];
-                    c->metaQueue_.push_back(m);
-                }
-                c->rxReady_.pulse();
-            } else if (seq < c->rcvNxt_) {
-                rxDups_.inc(); // retransmit of delivered data
-            } else {
-                rxOoo_.inc(); // gap: discard, sender will resend
-            }
-            sendControl(b.src, b.flow, BurstKind::DataAck,
-                        c->remoteToken_, c->rcvNxt_);
-            break;
-          }
-          case BurstKind::Ack: {
-            Connection *c = connFor(b.connToken);
-            if (c->aborted_)
-                break;
-            if (!cfg_.reliable) {
-                c->credit_ += b.arg;
-                sim::simAssert(c->credit_ <= c->peerSockBuf_,
-                               "credit overflow (peer buffer accounting)");
-                c->creditAvail_.pulse();
-                break;
-            }
-            // Cumulative credit: arg is the peer's drained total, so
-            // a lost return is healed by any later one.
-            if (b.arg > c->peerDrained_) {
-                c->peerDrained_ = b.arg;
-                const std::uint64_t inflight =
-                    c->sndNxt_ - c->peerDrained_;
-                c->credit_ = c->peerSockBuf_ > inflight
-                                 ? c->peerSockBuf_ - inflight
-                                 : 0;
-                c->creditAvail_.pulse();
-            }
-            break;
-          }
-          case BurstKind::DataAck: {
-            Connection *c = connFor(b.connToken);
-            if (c->aborted_)
-                break;
-            if (b.arg > c->sndUna_) {
-                c->sndUna_ = b.arg;
-                while (!c->retransQ_.empty() &&
-                       c->retransQ_.front().seq +
-                               c->retransQ_.front().payload <=
-                           b.arg)
-                    c->retransQ_.pop_front();
-                c->ackProgress_.trigger();
-            }
-            break;
-          }
-          case BurstKind::WinProbe: {
-            Connection *c = connFor(b.connToken);
-            if (c->aborted_)
-                break;
-            // Re-solicited credit return (reliable mode only).
-            sendControl(b.src, b.flow, BurstKind::Ack, c->remoteToken_,
-                        c->drainedTotal_);
-            break;
-          }
-          case BurstKind::Syn: {
-            const auto port = static_cast<std::uint16_t>(b.arg);
-            auto it = listeners_.find(port);
-            if (it == listeners_.end()) {
-                sim::fatal("connection attempt to port with no "
-                           "listener");
-            }
-            // A retransmitted SYN must not spawn a second server-side
-            // connection: resend the (possibly lost) SYN-ACK instead.
-            const auto key = std::make_pair(
-                static_cast<std::uint64_t>(b.src), b.flow);
-            auto seen = synSeen_.find(key);
-            if (seen != synSeen_.end()) {
-                Connection *c = connFor(seen->second);
-                if (!c->aborted_)
-                    sendControl(b.src, b.flow, BurstKind::SynAck,
-                                b.connToken, c->localToken_,
-                                cfg_.sockBuf);
-                break;
-            }
-            Connection *c = newConnection();
-            synSeen_[key] = c->localToken_;
-            c->remoteNode_ = b.src;
-            c->remoteToken_ = b.connToken;
-            c->flow_ = b.flow;
-            c->peerSockBuf_ = b.hasMeta ? b.meta[0] : cfg_.sockBuf;
-            c->credit_ = c->peerSockBuf_;
-            c->established_ = true;
-            c->establishedAt_ = host_.sim.now();
-            sendControl(b.src, b.flow, BurstKind::SynAck, b.connToken,
-                        c->localToken_, cfg_.sockBuf);
-            it->second->pending_.push(c);
-            break;
-          }
-          case BurstKind::SynAck: {
-            Connection *c = connFor(b.connToken);
-            if (c->established_ || c->aborted_)
-                break; // duplicate SYN-ACK, or we already gave up
-            c->remoteToken_ = b.arg;
-            c->peerSockBuf_ = b.hasMeta ? b.meta[0] : cfg_.sockBuf;
-            c->credit_ = c->peerSockBuf_;
-            c->established_ = true;
-            c->establishedAt_ = host_.sim.now();
-            handshakeHist_.sample(
-                (c->establishedAt_ - c->openedAt_).count());
-            c->establishedEvt_.trigger();
-            break;
-          }
-          case BurstKind::Fin: {
-            Connection *c = connFor(b.connToken);
-            c->peerClosed_ = true;
-            c->rxReady_.pulse();
-            break;
-          }
         }
-    }
 
-    // Hand the drained batch vector back to the NIC so the next
-    // interrupt reuses its capacity.
-    bursts.clear();
-    nic_.recycleBatch(std::move(bursts));
+        // Hand the drained batch vector back to the NIC so the next
+        // interrupt reuses its capacity.
+        bursts.clear();
+        nic_.recycleBatch(std::move(bursts));
+    }
 }
 
 Coro<void>

@@ -19,9 +19,7 @@
 #ifndef IOAT_TCP_STACK_HH
 #define IOAT_TCP_STACK_HH
 
-#include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <unordered_map>
@@ -33,6 +31,7 @@
 #include "nic/nic.hh"
 #include "simcore/channel.hh"
 #include "simcore/coro.hh"
+#include "simcore/mailbox.hh"
 #include "simcore/pool.hh"
 #include "simcore/reqtrace.hh"
 #include "simcore/stats.hh"
@@ -207,7 +206,9 @@ class Connection
     sim::Event rxReady_;
     bool peerClosed_ = false;
     bool localClosed_ = false;
-    std::deque<MsgMeta> metaQueue_; ///< delivered application headers
+    /** Delivered application headers; nodes come from the stack's
+     *  arena. */
+    sim::PooledFifo<MsgMeta, 16> metaQueue_;
     /** Context of the most recent traced data arrival: lets recv()
      *  attribute its copy when the caller didn't thread a context
      *  (sink-style receivers). */
@@ -342,9 +343,6 @@ class TcpStack
      */
     Coro<void> softirqLoop(unsigned queue);
 
-    /** Process one interrupt's worth of bursts. */
-    Coro<void> processBatch(unsigned queue, std::vector<Burst> bursts);
-
     /** Core that services interrupts for a given flow's port. */
     int rxCoreFor(unsigned queue, std::uint64_t flow) const;
 
@@ -381,10 +379,11 @@ class TcpStack
     TcpConfig cfg_;
 
     /**
-     * Shared arena for every connection's retransmission queue —
-     * declared before conns_ so it outlives the queues built on it.
+     * Shared arenas for every connection's retransmission and header
+     * queues — declared before conns_ so they outlive the queues.
      */
     sim::PooledFifo<TxSegment>::NodePool txSegPool_;
+    sim::PooledFifo<MsgMeta, 16>::NodePool metaPool_;
 
     std::vector<std::unique_ptr<Connection>> conns_;
     std::unordered_map<std::uint16_t, std::unique_ptr<Listener>> listeners_;
@@ -393,21 +392,10 @@ class TcpStack
     std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t>
         synSeen_;
 
-    /** Softirq mailbox of one RX queue: delivered batches in order,
-     *  and the queue's softirqLoop while it waits for one. */
-    struct RxMailbox
-    {
-        using Fifo = sim::PooledFifo<std::vector<Burst>, 16>;
-
-        explicit RxMailbox(Fifo::NodePool &pool) : batches(pool) {}
-
-        Fifo batches;
-        std::coroutine_handle<> parked = nullptr;
-    };
-
-    /** Shared by every mailbox below, so declared before them. */
-    RxMailbox::Fifo::NodePool rxBatchPool_;
-    std::vector<RxMailbox> rxMailboxes_;
+    /** Softirq mailbox per RX queue; the pool they share is
+     *  declared before them. */
+    sim::Mailbox<std::vector<Burst>>::NodePool rxBatchPool_;
+    std::vector<sim::Mailbox<std::vector<Burst>>> rxMailboxes_;
 
     /** Header/metadata pool footprint (protected iff split-header). */
     mem::FootprintId hdrPool_;

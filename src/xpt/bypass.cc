@@ -28,6 +28,7 @@ Endpoint::Endpoint(Key, BypassStack &stack, std::uint64_t local_token)
       establishedEvt_(stack.host_.sim),
       creditAvail_(stack.host_.sim),
       rxReady_(stack.host_.sim),
+      metaQueue_(stack.metaPool_),
       retransQ_(stack.txSegPool_),
       txActivity_(stack.host_.sim),
       ackProgress_(stack.host_.sim)
@@ -259,10 +260,9 @@ BypassStack::BypassStack(const tcp::Host &host, nic::Nic &nic,
     nic_.setRxHandler([this](unsigned queue, std::vector<Burst> &&b) {
         onRxBatch(queue, std::move(b));
     });
+    rxMailboxes_.reserve(nic_.rxQueueCount());
     for (unsigned q = 0; q < nic_.rxQueueCount(); ++q) {
-        rxChannels_.push_back(
-            std::make_unique<sim::Channel<std::vector<Burst>>>(
-                host_.sim));
+        rxMailboxes_.emplace_back(host_.sim.queue(), rxBatchPool_);
         host_.sim.spawn(pollLoop(q));
     }
 }
@@ -467,235 +467,230 @@ BypassStack::pollCoreFor(unsigned queue) const
 void
 BypassStack::onRxBatch(unsigned queue, std::vector<Burst> &&bursts)
 {
-    sim::simAssert(queue < rxChannels_.size(), "bad RX queue");
-    rxChannels_[queue]->push(std::move(bursts));
+    sim::simAssert(queue < rxMailboxes_.size(), "bad RX queue");
+    // The NIC calls us as its event's last action, so an idle poll
+    // loop's wakeup usually runs inline.
+    rxMailboxes_[queue].push(std::move(bursts));
 }
 
 Coro<void>
 BypassStack::pollLoop(unsigned queue)
 {
-    // Busy-poll service loop.  Empty spins cost nothing in simulated
-    // time (they would reschedule forever); the poll core's CPU
-    // charge is taken per serviced pass in processBatch, which is
-    // what the utilization window observes.
+    // Busy-poll service loop, one pass per delivered batch, in this
+    // frame.  Empty spins cost nothing in simulated time (they would
+    // reschedule forever); the poll core's CPU charge is taken per
+    // serviced pass, which is what the utilization window observes.
     for (;;) {
-        auto batch = co_await rxChannels_[queue]->recv();
-        if (!batch.has_value())
-            co_return;
-        co_await processBatch(queue, std::move(*batch));
-    }
-}
+        std::vector<Burst> bursts = co_await rxMailboxes_[queue].recv();
 
-Coro<void>
-BypassStack::processBatch(unsigned queue, std::vector<Burst> bursts)
-{
-    const int core = pollCoreFor(queue);
-    pollPasses_.inc();
+        const int core = pollCoreFor(queue);
+        pollPasses_.inc();
 
-    // NIC receive DMA deposited all of this into the buffer pool.
-    std::size_t wire_total = 0;
-    for (const auto &b : bursts) {
-        sim::simAssert(b.kind > kBypassKindBase,
-                       "foreign burst kind on bypass stack");
-        wire_total += b.wireBytes;
-    }
-    host_.bus.consume(sim::Bytes{wire_total});
-    sim::RequestTracer *rt = host_.sim.requestTracer();
-
-    /** Per-traced-burst attribution shares, anchored after compute. */
-    struct RxAttr
-    {
-        sim::TraceContext ctx;
-        Tick off;  ///< cost accumulated before this burst
-        Tick desc; ///< descriptor check/recycle share
-        Tick lib;  ///< demux/reassembly share
-        Tick ack;  ///< cumulative-ack share
-    };
-    std::vector<RxAttr> attrs;
-
-    // ---- pass 1: accumulate the CPU cost of this poll pass ----
-    Tick cost = cfg_.rxPollEntry;
-    for (const auto &b : bursts) {
-        const Tick burst_off = cost;
-        const Tick desc = cfg_.rxPerFrame * b.frames;
-        cost += desc;
-        switch (static_cast<BypassKind>(b.kind)) {
-          case BypassKind::Data: {
-            cost += cfg_.rxPerBurst;
-            const Tick ack = cfg_.ackGenCost; // cumulative DataAck
-            cost += ack;
-            rxBursts_.inc();
-            if (rt && b.trace != 0) {
-                RxAttr a;
-                a.ctx = sim::TraceContext::unpack(b.trace);
-                a.off = burst_off;
-                a.desc = desc;
-                a.lib = cfg_.rxPerBurst;
-                a.ack = ack;
-                attrs.push_back(a);
-            }
-            break;
-          }
-          case BypassKind::Syn:
-            cost += cfg_.connSetupCost;
-            break;
-          case BypassKind::SynAck:
-          case BypassKind::Ack:
-          case BypassKind::Fin:
-          case BypassKind::DataAck:
-          case BypassKind::WinProbe:
-            cost += cfg_.rxPerBurst;
-            break;
+        // NIC receive DMA deposited all of this into the buffer pool.
+        std::size_t wire_total = 0;
+        for (const auto &b : bursts) {
+            sim::simAssert(b.kind > kBypassKindBase,
+                           "foreign burst kind on bypass stack");
+            wire_total += b.wireBytes;
         }
-    }
+        host_.bus.consume(sim::Bytes{wire_total});
+        sim::RequestTracer *rt = host_.sim.requestTracer();
 
-    // The pass runs uninterrupted at the head of its pinned core —
-    // the poll core does nothing else — which keeps the busy interval
-    // contiguous for exact trace attribution (as the softirq does).
-    co_await host_.cpu.compute(cost, core, /*highPriority=*/true);
+        /** Per-traced-burst attribution shares, anchored after compute. */
+        struct RxAttr
+        {
+            sim::TraceContext ctx;
+            Tick off;  ///< cost accumulated before this burst
+            Tick desc; ///< descriptor check/recycle share
+            Tick lib;  ///< demux/reassembly share
+            Tick ack;  ///< cumulative-ack share
+        };
+        std::vector<RxAttr> attrs;
 
-    if (rt && !attrs.empty()) {
-        // Shares lie sequentially inside [now - cost, now]; the poll
-        // entry and control bursts stay unattributed (residue).
-        const Tick base = host_.sim.now() - cost;
-        for (const auto &a : attrs)
-            rt->recordComponents(
-                a.ctx, base + a.off, core,
-                {{"rx.desc", sim::CostCat::poll, a.desc},
-                 {"rx.lib", sim::CostCat::poll, a.lib},
-                 {"rx.ack", sim::CostCat::poll, a.ack}});
-    }
-
-    // ---- pass 2: apply protocol effects ----
-    for (const auto &b : bursts) {
-        switch (static_cast<BypassKind>(b.kind)) {
-          case BypassKind::Data: {
-            Endpoint *e = endpointFor(b.connToken);
-            if (e->aborted_)
-                break; // late segment for a dead endpoint
-            // Go-back-N receiver: accept only the in-order segment;
-            // every arrival re-acks the cumulative high-water mark.
-            const std::uint64_t seq = b.arg;
-            if (seq == e->rcvNxt_) {
-                e->rcvNxt_ += b.payloadBytes;
-                e->rxBuffered_ += b.payloadBytes;
-                if (b.trace != 0)
-                    e->rxCtx_ = sim::TraceContext::unpack(b.trace);
-                if (b.hasMeta) {
-                    sock::MsgMeta m;
-                    for (int i = 0; i < net::kBurstMetaWords; ++i)
-                        m.w[i] = b.meta[i];
-                    e->metaQueue_.push_back(m);
+        // ---- pass 1: accumulate the CPU cost of this poll pass ----
+        Tick cost = cfg_.rxPollEntry;
+        for (const auto &b : bursts) {
+            const Tick burst_off = cost;
+            const Tick desc = cfg_.rxPerFrame * b.frames;
+            cost += desc;
+            switch (static_cast<BypassKind>(b.kind)) {
+              case BypassKind::Data: {
+                cost += cfg_.rxPerBurst;
+                const Tick ack = cfg_.ackGenCost; // cumulative DataAck
+                cost += ack;
+                rxBursts_.inc();
+                if (rt && b.trace != 0) {
+                    RxAttr a;
+                    a.ctx = sim::TraceContext::unpack(b.trace);
+                    a.off = burst_off;
+                    a.desc = desc;
+                    a.lib = cfg_.rxPerBurst;
+                    a.ack = ack;
+                    attrs.push_back(a);
                 }
-                e->rxReady_.pulse();
-            } else if (seq < e->rcvNxt_) {
-                rxDups_.inc(); // retransmit of delivered data
-            } else {
-                rxOoo_.inc(); // gap: discard, sender will resend
-            }
-            sendControl(b.src, b.flow, BypassKind::DataAck,
-                        e->remoteToken_, e->rcvNxt_);
-            break;
-          }
-          case BypassKind::Ack: {
-            Endpoint *e = endpointFor(b.connToken);
-            if (e->aborted_)
                 break;
-            // Cumulative credit: arg is the peer's drained total, so
-            // a lost return is healed by any later one.
-            if (b.arg > e->peerDrained_) {
-                e->peerDrained_ = b.arg;
-                const std::uint64_t inflight =
-                    e->sndNxt_ - e->peerDrained_;
-                e->credit_ = e->peerBufPool_ > inflight
-                                 ? e->peerBufPool_ - inflight
-                                 : 0;
-                e->creditAvail_.pulse();
-            }
-            break;
-          }
-          case BypassKind::DataAck: {
-            Endpoint *e = endpointFor(b.connToken);
-            if (e->aborted_)
+              }
+              case BypassKind::Syn:
+                cost += cfg_.connSetupCost;
                 break;
-            if (b.arg > e->sndUna_) {
-                e->sndUna_ = b.arg;
-                while (!e->retransQ_.empty() &&
-                       e->retransQ_.front().seq +
-                               e->retransQ_.front().payload <=
-                           b.arg)
-                    e->retransQ_.pop_front();
-                e->ackProgress_.trigger();
-            }
-            break;
-          }
-          case BypassKind::WinProbe: {
-            Endpoint *e = endpointFor(b.connToken);
-            if (e->aborted_)
-                break;
-            sendControl(b.src, b.flow, BypassKind::Ack, e->remoteToken_,
-                        e->drainedTotal_);
-            break;
-          }
-          case BypassKind::Syn: {
-            const auto port = static_cast<std::uint16_t>(b.arg);
-            auto it = listeners_.find(port);
-            if (it == listeners_.end()) {
-                sim::fatal("bypass connection attempt to port with no "
-                           "listener");
-            }
-            // A retransmitted SYN must not spawn a second server-side
-            // endpoint: resend the (possibly lost) SYN-ACK instead.
-            const auto key = std::make_pair(
-                static_cast<std::uint64_t>(b.src), b.flow);
-            auto seen = synSeen_.find(key);
-            if (seen != synSeen_.end()) {
-                Endpoint *e = endpointFor(seen->second);
-                if (!e->aborted_)
-                    sendControl(b.src, b.flow, BypassKind::SynAck,
-                                b.connToken, e->localToken_,
-                                cfg_.bufPoolBytes);
+              case BypassKind::SynAck:
+              case BypassKind::Ack:
+              case BypassKind::Fin:
+              case BypassKind::DataAck:
+              case BypassKind::WinProbe:
+                cost += cfg_.rxPerBurst;
                 break;
             }
-            Endpoint *e = newEndpoint();
-            synSeen_[key] = e->localToken_;
-            e->remoteNode_ = b.src;
-            e->remoteToken_ = b.connToken;
-            e->flow_ = b.flow;
-            e->peerBufPool_ = b.hasMeta ? b.meta[0] : cfg_.bufPoolBytes;
-            e->credit_ = e->peerBufPool_;
-            e->established_ = true;
-            e->establishedAt_ = host_.sim.now();
-            sendControl(b.src, b.flow, BypassKind::SynAck, b.connToken,
-                        e->localToken_, cfg_.bufPoolBytes);
-            it->second->pending_.push(e);
-            break;
-          }
-          case BypassKind::SynAck: {
-            Endpoint *e = endpointFor(b.connToken);
-            if (e->established_ || e->aborted_)
-                break; // duplicate SYN-ACK, or we already gave up
-            e->remoteToken_ = b.arg;
-            e->peerBufPool_ = b.hasMeta ? b.meta[0] : cfg_.bufPoolBytes;
-            e->credit_ = e->peerBufPool_;
-            e->established_ = true;
-            e->establishedAt_ = host_.sim.now();
-            handshakeHist_.sample(
-                (e->establishedAt_ - e->openedAt_).count());
-            e->establishedEvt_.trigger();
-            break;
-          }
-          case BypassKind::Fin: {
-            Endpoint *e = endpointFor(b.connToken);
-            e->peerClosed_ = true;
-            e->rxReady_.pulse();
-            break;
-          }
         }
-    }
 
-    bursts.clear();
-    nic_.recycleBatch(std::move(bursts));
+        // The pass runs uninterrupted at the head of its pinned core —
+        // the poll core does nothing else — which keeps the busy interval
+        // contiguous for exact trace attribution (as the softirq does).
+        co_await host_.cpu.compute(cost, core, /*highPriority=*/true);
+
+        if (rt && !attrs.empty()) {
+            // Shares lie sequentially inside [now - cost, now]; the poll
+            // entry and control bursts stay unattributed (residue).
+            const Tick base = host_.sim.now() - cost;
+            for (const auto &a : attrs)
+                rt->recordComponents(
+                    a.ctx, base + a.off, core,
+                    {{"rx.desc", sim::CostCat::poll, a.desc},
+                     {"rx.lib", sim::CostCat::poll, a.lib},
+                     {"rx.ack", sim::CostCat::poll, a.ack}});
+        }
+
+        // ---- pass 2: apply protocol effects ----
+        for (const auto &b : bursts) {
+            switch (static_cast<BypassKind>(b.kind)) {
+              case BypassKind::Data: {
+                Endpoint *e = endpointFor(b.connToken);
+                if (e->aborted_)
+                    break; // late segment for a dead endpoint
+                // Go-back-N receiver: accept only the in-order segment;
+                // every arrival re-acks the cumulative high-water mark.
+                const std::uint64_t seq = b.arg;
+                if (seq == e->rcvNxt_) {
+                    e->rcvNxt_ += b.payloadBytes;
+                    e->rxBuffered_ += b.payloadBytes;
+                    if (b.trace != 0)
+                        e->rxCtx_ = sim::TraceContext::unpack(b.trace);
+                    if (b.hasMeta) {
+                        sock::MsgMeta m;
+                        for (int i = 0; i < net::kBurstMetaWords; ++i)
+                            m.w[i] = b.meta[i];
+                        e->metaQueue_.push_back(m);
+                    }
+                    e->rxReady_.pulse();
+                } else if (seq < e->rcvNxt_) {
+                    rxDups_.inc(); // retransmit of delivered data
+                } else {
+                    rxOoo_.inc(); // gap: discard, sender will resend
+                }
+                sendControl(b.src, b.flow, BypassKind::DataAck,
+                            e->remoteToken_, e->rcvNxt_);
+                break;
+              }
+              case BypassKind::Ack: {
+                Endpoint *e = endpointFor(b.connToken);
+                if (e->aborted_)
+                    break;
+                // Cumulative credit: arg is the peer's drained total, so
+                // a lost return is healed by any later one.
+                if (b.arg > e->peerDrained_) {
+                    e->peerDrained_ = b.arg;
+                    const std::uint64_t inflight =
+                        e->sndNxt_ - e->peerDrained_;
+                    e->credit_ = e->peerBufPool_ > inflight
+                                     ? e->peerBufPool_ - inflight
+                                     : 0;
+                    e->creditAvail_.pulse();
+                }
+                break;
+              }
+              case BypassKind::DataAck: {
+                Endpoint *e = endpointFor(b.connToken);
+                if (e->aborted_)
+                    break;
+                if (b.arg > e->sndUna_) {
+                    e->sndUna_ = b.arg;
+                    while (!e->retransQ_.empty() &&
+                           e->retransQ_.front().seq +
+                                   e->retransQ_.front().payload <=
+                               b.arg)
+                        e->retransQ_.pop_front();
+                    e->ackProgress_.trigger();
+                }
+                break;
+              }
+              case BypassKind::WinProbe: {
+                Endpoint *e = endpointFor(b.connToken);
+                if (e->aborted_)
+                    break;
+                sendControl(b.src, b.flow, BypassKind::Ack, e->remoteToken_,
+                            e->drainedTotal_);
+                break;
+              }
+              case BypassKind::Syn: {
+                const auto port = static_cast<std::uint16_t>(b.arg);
+                auto it = listeners_.find(port);
+                if (it == listeners_.end()) {
+                    sim::fatal("bypass connection attempt to port with no "
+                               "listener");
+                }
+                // A retransmitted SYN must not spawn a second server-side
+                // endpoint: resend the (possibly lost) SYN-ACK instead.
+                const auto key = std::make_pair(
+                    static_cast<std::uint64_t>(b.src), b.flow);
+                auto seen = synSeen_.find(key);
+                if (seen != synSeen_.end()) {
+                    Endpoint *e = endpointFor(seen->second);
+                    if (!e->aborted_)
+                        sendControl(b.src, b.flow, BypassKind::SynAck,
+                                    b.connToken, e->localToken_,
+                                    cfg_.bufPoolBytes);
+                    break;
+                }
+                Endpoint *e = newEndpoint();
+                synSeen_[key] = e->localToken_;
+                e->remoteNode_ = b.src;
+                e->remoteToken_ = b.connToken;
+                e->flow_ = b.flow;
+                e->peerBufPool_ = b.hasMeta ? b.meta[0] : cfg_.bufPoolBytes;
+                e->credit_ = e->peerBufPool_;
+                e->established_ = true;
+                e->establishedAt_ = host_.sim.now();
+                sendControl(b.src, b.flow, BypassKind::SynAck, b.connToken,
+                            e->localToken_, cfg_.bufPoolBytes);
+                it->second->pending_.push(e);
+                break;
+              }
+              case BypassKind::SynAck: {
+                Endpoint *e = endpointFor(b.connToken);
+                if (e->established_ || e->aborted_)
+                    break; // duplicate SYN-ACK, or we already gave up
+                e->remoteToken_ = b.arg;
+                e->peerBufPool_ = b.hasMeta ? b.meta[0] : cfg_.bufPoolBytes;
+                e->credit_ = e->peerBufPool_;
+                e->established_ = true;
+                e->establishedAt_ = host_.sim.now();
+                handshakeHist_.sample(
+                    (e->establishedAt_ - e->openedAt_).count());
+                e->establishedEvt_.trigger();
+                break;
+              }
+              case BypassKind::Fin: {
+                Endpoint *e = endpointFor(b.connToken);
+                e->peerClosed_ = true;
+                e->rxReady_.pulse();
+                break;
+              }
+            }
+        }
+
+        bursts.clear();
+        nic_.recycleBatch(std::move(bursts));
+    }
 }
 
 void

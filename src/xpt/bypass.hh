@@ -44,7 +44,6 @@
 #define IOAT_XPT_BYPASS_HH
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <unordered_map>
@@ -55,6 +54,7 @@
 #include "nic/nic.hh"
 #include "simcore/channel.hh"
 #include "simcore/coro.hh"
+#include "simcore/mailbox.hh"
 #include "simcore/pool.hh"
 #include "simcore/reqtrace.hh"
 #include "simcore/stats.hh"
@@ -265,7 +265,7 @@ class Endpoint
     sim::Event rxReady_;
     bool peerClosed_ = false;
     bool localClosed_ = false;
-    std::deque<sock::MsgMeta> metaQueue_;
+    sim::PooledFifo<sock::MsgMeta, 16> metaQueue_;
     sim::TraceContext rxCtx_{};
 
     // --- reliability (always on) ---
@@ -378,9 +378,6 @@ class BypassStack
     /** Per-queue busy-poll service loop (pinned core). */
     Coro<void> pollLoop(unsigned queue);
 
-    /** Process one poll pass's worth of bursts. */
-    Coro<void> processBatch(unsigned queue, std::vector<Burst> bursts);
-
     /** Core a queue's poll loop is pinned to. */
     int pollCoreFor(unsigned queue) const;
 
@@ -404,7 +401,10 @@ class BypassStack
     nic::Nic &nic_;
     BypassConfig cfg_;
 
+    /** Shared arenas for every endpoint's retransmission and header
+     *  queues — declared before endpoints_ so they outlive them. */
     sim::PooledFifo<XptTxSegment>::NodePool txSegPool_;
+    sim::PooledFifo<sock::MsgMeta, 16>::NodePool metaPool_;
 
     std::vector<std::unique_ptr<Endpoint>> endpoints_;
     std::unordered_map<std::uint16_t, std::unique_ptr<Listener>>
@@ -414,9 +414,10 @@ class BypassStack
     std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t>
         synSeen_;
 
-    /** One pending-batch channel per RX queue (poll mailboxes). */
-    std::vector<std::unique_ptr<sim::Channel<std::vector<Burst>>>>
-        rxChannels_;
+    /** Poll mailbox per RX queue; the pool they share is declared
+     *  before them. */
+    sim::Mailbox<std::vector<Burst>>::NodePool rxBatchPool_;
+    std::vector<sim::Mailbox<std::vector<Burst>>> rxMailboxes_;
 
     /** Registered buffer pool's cache footprint (pinned, reused). */
     mem::FootprintId bufPool_;

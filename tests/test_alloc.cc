@@ -14,6 +14,8 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -133,13 +135,25 @@ TEST(Alloc, BurstCaptureStaysInline)
     EXPECT_EQ(999u * 1000u, sum); // 0..999, twice
 }
 
+/** The three transports: kernel TCP without and with I/OAT, and the
+ *  kernel-bypass library. */
+std::vector<std::pair<const char *, NodeConfig>>
+transports()
+{
+    NodeConfig bypass = NodeConfig::server(IoatConfig::disabled(), 1);
+    bypass.transport = core::TransportKind::bypass;
+    return {{"tcp", NodeConfig::server(IoatConfig::disabled(), 1)},
+            {"ioat", NodeConfig::server(IoatConfig::enabled(), 1)},
+            {"bypass", bypass}};
+}
+
 TEST(Alloc, TcpStreamSteadyStateAllocatesNothingPerBurst)
 {
-    for (const IoatConfig features :
-         {IoatConfig::disabled(), IoatConfig::enabled()}) {
+    // Over every transport: once warm, the receive path (NIC batches,
+    // RX mailboxes, per-segment work) allocates nothing.
+    for (const auto &[label, cfg] : transports()) {
         Simulation sim;
         net::Switch fabric(sim, sim::nanoseconds(2000));
-        const NodeConfig cfg = NodeConfig::server(features, 1);
         Node sink(sim, fabric, cfg);
         Node sender(sim, fabric, cfg);
         const std::size_t chunk = 64 * 1024;
@@ -160,11 +174,64 @@ TEST(Alloc, TcpStreamSteadyStateAllocatesNothingPerBurst)
         const std::uint64_t ranBursts =
             sink.nic().rxBursts() + sender.nic().rxBursts() - bursts;
 
-        ASSERT_GT(ranBursts, 1000u);
-        EXPECT_EQ(0u, allocs)
-            << "ioat=" << features.any() << ": " << allocs
-            << " allocations over " << ranBursts << " bursts and "
-            << ranEvents << " events";
+        ASSERT_GT(ranBursts, 1000u) << label;
+        EXPECT_EQ(0u, allocs) << label << ": " << allocs
+                              << " allocations over " << ranBursts
+                              << " bursts and " << ranEvents << " events";
+    }
+}
+
+Coro<void>
+echoServer(Node &node, std::uint16_t port)
+{
+    sock::Listener listener(node.transport(), port);
+    sock::Socket c = co_await listener.accept();
+    while (auto msg = co_await c.recvMessageAndPayload())
+        co_await c.sendMessage(*msg);
+}
+
+Coro<void>
+echoClient(Node &node, net::NodeId dst, std::uint16_t port,
+           std::uint64_t &trips)
+{
+    sock::Socket c = co_await node.transport().connect(dst, port);
+    for (std::uint64_t i = 0;; ++i) {
+        sock::Message req;
+        req.tag = 1;
+        req.a = i;
+        req.payloadBytes = 8 * 1024;
+        co_await c.sendMessage(req);
+        auto rsp = co_await c.recvMessageAndPayload();
+        if (!rsp || rsp->a != i)
+            co_return;
+        ++trips;
+    }
+}
+
+TEST(Alloc, MessageRoundTripAllocatesNothing)
+{
+    // Request/response framing: every message queues a delivered
+    // header (MsgMeta) at the receiver, which must come from a pool.
+    for (const auto &[label, cfg] : transports()) {
+        Simulation sim;
+        net::Switch fabric(sim, sim::nanoseconds(2000));
+        Node server(sim, fabric, cfg);
+        Node client(sim, fabric, cfg);
+        std::uint64_t trips = 0;
+        sim.spawn(echoServer(server, 5001));
+        sim.spawn(echoClient(client, server.id(), 5001, trips));
+        sim.runFor(sim::milliseconds(100));
+
+        const std::uint64_t news = gNews;
+        const std::uint64_t before = trips;
+        sim.runFor(sim::milliseconds(100));
+        const std::uint64_t allocs = gNews - news;
+        const std::uint64_t ran = trips - before;
+
+        ASSERT_GT(ran, 100u) << label;
+        EXPECT_EQ(0u, allocs) << label << ": " << allocs
+                              << " allocations over " << ran
+                              << " round trips";
     }
 }
 

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "simcore/simcore.hh"
@@ -400,6 +402,202 @@ TEST(Channel, PushDeliversToWaitingReceiver)
     ch.push("hello");
     sim.run();
     EXPECT_EQ(got, "hello");
+}
+
+// --------------------------------------------------------------------
+// Mailbox
+// --------------------------------------------------------------------
+
+/** Consumer that records (tick, item) and stays busy @p busy ticks
+ *  after each item. */
+Coro<void>
+mailboxConsumer(Simulation &sim, Mailbox<int> &mb, Tick busy,
+                std::vector<std::pair<Tick, int>> &out)
+{
+    for (;;) {
+        const int v = co_await mb.recv();
+        out.emplace_back(sim.now(), v);
+        if (busy > Tick{0})
+            co_await sim.delay(busy);
+    }
+}
+
+TEST(Mailbox, FifoOrderAcrossParks)
+{
+    Simulation sim;
+    Mailbox<int>::NodePool pool;
+    Mailbox<int> mb(sim.queue(), pool);
+    std::vector<std::pair<Tick, int>> got;
+    sim.spawn(mailboxConsumer(sim, mb, Tick{10}, got));
+    // Bursts of pushes while the consumer is busy, then idle gaps in
+    // which it parks again.
+    int next = 0;
+    for (Tick t : {Tick{5}, Tick{6}, Tick{7}, Tick{50}, Tick{51}, Tick{200}})
+        sim.queue().schedule(t, [&mb, &next] { mb.push(next++); });
+    sim.run();
+
+    const std::vector<std::pair<Tick, int>> want = {
+        {Tick{5}, 0},  {Tick{15}, 1},  {Tick{25}, 2},
+        {Tick{50}, 3}, {Tick{60}, 4}, {Tick{200}, 5}};
+    EXPECT_EQ(want, got);
+    EXPECT_TRUE(mb.empty());
+}
+
+TEST(Mailbox, PushWhileBusyDoesNotWakeTwice)
+{
+    Simulation sim;
+    Mailbox<int>::NodePool pool;
+    Mailbox<int> mb(sim.queue(), pool);
+    std::vector<std::pair<Tick, int>> got;
+    sim.spawn(mailboxConsumer(sim, mb, Tick{10}, got));
+    std::size_t pendingAfterBusyPush = 0;
+    sim.queue().schedule(Tick{5}, [&] { mb.push(1); });
+    sim.queue().schedule(Tick{8}, [&] {
+        const std::size_t pending = sim.queue().size();
+        mb.push(2);
+        pendingAfterBusyPush = sim.queue().size() - pending;
+    });
+    sim.run();
+
+    // The busy consumer picks the item up itself after its delay: the
+    // push queued no wakeup, and no event ran twice.
+    EXPECT_EQ(0u, pendingAfterBusyPush);
+    const std::vector<std::pair<Tick, int>> want = {{Tick{5}, 1},
+                                                    {Tick{15}, 2}};
+    EXPECT_EQ(want, got);
+    // spawn, two pushes, one folded wakeup, two delay timers.
+    EXPECT_EQ(6u, sim.executedEvents());
+}
+
+TEST(Mailbox, PushFromLoneEventResumesConsumerInline)
+{
+    Simulation sim;
+    Mailbox<int>::NodePool pool;
+    Mailbox<int> mb(sim.queue(), pool);
+    std::vector<std::pair<Tick, int>> got;
+    sim.spawn(mailboxConsumer(sim, mb, Tick{0}, got));
+    bool ranInline = false;
+    std::size_t pendingAfterPush = 1;
+    sim.queue().schedule(Tick{5}, [&] {
+        mb.push(7);
+        ranInline = got.size() == 1;
+        pendingAfterPush = sim.queue().size();
+    });
+    sim.run();
+
+    EXPECT_TRUE(ranInline);
+    EXPECT_EQ(0u, pendingAfterPush);
+    EXPECT_EQ((std::vector<std::pair<Tick, int>>{{Tick{5}, 7}}), got);
+    // The inline wakeup still counts as the event a post would be.
+    EXPECT_EQ(3u, sim.executedEvents());
+}
+
+namespace mailbox_diff {
+
+std::uint64_t
+mix(std::uint64_t x)
+{
+    x ^= x >> 31;
+    x *= 0x9e3779b97f4a7c15ull;
+    x ^= x >> 29;
+    return x;
+}
+
+using Trace = std::vector<std::pair<Tick, int>>;
+
+/** Same-tick noise and pushes on several lanes, and a consumer whose
+ *  busy time varies per item; everything derives from @p seed.  Box
+ *  is Mailbox<int> or Channel<int>. */
+template <typename Box>
+struct Run
+{
+    Simulation sim;
+    Mailbox<int>::NodePool pool;
+    Box box;
+    Trace trace;
+    std::uint64_t folds = 0; ///< wakeups that ran inside push()
+    std::uint64_t posts = 0; ///< wakeups that push() queued
+    std::uint64_t seed;
+
+    explicit Run(std::uint64_t s) : box(makeBox()), seed(s) {}
+
+    Box
+    makeBox()
+    {
+        if constexpr (std::is_same_v<Box, Mailbox<int>>)
+            return Box(sim.queue(), pool);
+        else
+            return Box(sim);
+    }
+
+    static Coro<void>
+    consume(Run &r)
+    {
+        for (;;) {
+            int v = 0;
+            if constexpr (std::is_same_v<Box, Mailbox<int>>) {
+                v = co_await r.box.recv();
+            } else {
+                auto got = co_await r.box.recv();
+                v = *got;
+            }
+            r.trace.emplace_back(r.sim.now(), v);
+            const std::uint64_t h = mix(r.seed * 7919 + v);
+            if (h % 3 != 0)
+                co_await r.sim.delay(Tick{h % 3 == 1 ? 0 : 1 + (h >> 8) % 20});
+        }
+    }
+
+    void
+    play()
+    {
+        sim.spawn(consume(*this));
+        for (int i = 0; i < 200; ++i) {
+            const std::uint64_t h = mix(seed * 1000003 + i);
+            const Tick when{1 + (h >> 4) % 2000};
+            const auto lane = static_cast<std::uint32_t>((h >> 20) % 3);
+            sim.queue().scheduleLane(when, lane, [this, i] {
+                const std::size_t seen = trace.size();
+                const std::size_t pending = sim.queue().size();
+                box.push(i);
+                if (trace.size() != seen)
+                    ++folds;
+                else if (sim.queue().size() != pending)
+                    ++posts;
+            });
+            // Half the pushes share their tick with an event on a
+            // random lane, queued after them: a same-lane one is still
+            // pending at the push and blocks the inline wakeup.
+            if ((h >> 30) % 2 == 0)
+                sim.queue().scheduleLane(
+                    when, static_cast<std::uint32_t>((h >> 32) % 3), [] {});
+        }
+        sim.run();
+    }
+};
+
+} // namespace mailbox_diff
+
+TEST(Mailbox, SameTraceAsChannelOnRandomSchedules)
+{
+    std::uint64_t folds = 0;
+    std::uint64_t posts = 0;
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        mailbox_diff::Run<Channel<int>> ch(seed);
+        mailbox_diff::Run<Mailbox<int>> mb(seed);
+        ch.play();
+        mb.play();
+        ASSERT_EQ(ch.trace, mb.trace) << "seed " << seed;
+        ASSERT_EQ(ch.sim.executedEvents(), mb.sim.executedEvents())
+            << "seed " << seed;
+        ASSERT_EQ(0u, ch.folds); // Channel wakeups are always posted
+        ASSERT_EQ(ch.posts, mb.folds + mb.posts) << "seed " << seed;
+        folds += mb.folds;
+        posts += mb.posts;
+    }
+    // Both the inline and the posted wakeup were exercised.
+    EXPECT_GT(folds, 100u) << posts;
+    EXPECT_GT(posts, 100u) << folds;
 }
 
 // --------------------------------------------------------------------

@@ -37,12 +37,15 @@ Rule catalog (DESIGN.md §11 is the narrative version):
                   (the event queue's bit-level tick indexing is the
                   documented exemption).
 
-  shard-safety    Model code runs replicated across shard workers, so
-                  mutable static-storage state outside src/simcore/
+  shard-safety    One process builds many Simulations (benches and
+                  tests run one after another), so mutable
+                  static-storage state outside src/simcore/
                   (namespace-scope variables, static data members,
-                  function-local statics) breaks shard equivalence
-                  unless it is one of the sanctioned wrappers
-                  (sim::stats::Counter/Flag/Level/Accumulator).
+                  function-local statics) leaks from one run into the
+                  next unless it is one of the sanctioned wrappers
+                  (sim::stats::Counter/Accumulator).  The rule keeps
+                  the name it got when it also guarded a
+                  multi-threaded executor.
                   Also: iteration over a container whose *type*
                   resolves to std::unordered_* through aliases or
                   auto — the spelled-out case is simlint's, the typed
@@ -250,10 +253,10 @@ def check_shard_safety(statics, iter_sites, unordered_names):
         findings.append(Finding(
             "shard-safety", f["file"], f["line"],
             f"mutable {where} '{f['name']}' ({f['type']}) outside "
-            f"src/simcore/; shard workers replicate model code, so "
-            f"shared mutable state must be a sanctioned wrapper "
-            f"(sim::stats::Counter/Flag/Level/Accumulator) or "
-            f"per-node partials merged in node order"))
+            f"src/simcore/; it is shared by every Simulation the "
+            f"process builds, so one run leaks into the next — keep "
+            f"model state in members, per node, or use a sanctioned "
+            f"wrapper (sim::stats::Counter/Accumulator)"))
     for s in iter_sites:
         if s.get("unordered", s["name"] in unordered_names):
             findings.append(Finding(
