@@ -14,7 +14,9 @@
  * The modelled results — TPS, event counts, and with them the JSON
  * "digest" field — are identical on every rerun; only wall-clock and
  * events/sec change.  CI runs the sweep twice and gates on digest
- * equality.
+ * equality.  Across trees, compare wall seconds at equal cluster
+ * size: an engine change that runs fewer events for the same model
+ * lowers events/sec while it makes the run faster.
  *
  * Results are also written to BENCH_scale.json (see EXPERIMENTS.md
  * for the schema) so successive PRs can be compared mechanically.
@@ -191,9 +193,8 @@ main(int argc, char **argv)
     writeJson(points, path);
     std::cout << "\nWrote " << path << " (" << points.size()
               << " points, digest " << modelDigest(points)
-              << ").\nevents/sec is simulator hot-path throughput: "
-                 "compare across PRs at equal cluster size and shard "
-                 "count.\n";
+              << ").\nwall s is simulator hot-path cost: compare "
+                 "across trees at equal cluster size.\n";
     return 0;
     });
 }

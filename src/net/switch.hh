@@ -18,7 +18,14 @@
  * extra-delay faults, and deliveries to nodes inside a crash window
  * are dropped.  Sites are keyed by the (src, dst) pair — not just the
  * egress — so each site's RNG stream is drawn only from the sender's
- * execution.  Without an injector the routing path is untouched.
+ * execution.
+ *
+ * A NIC hands each burst over with launch() when it starts
+ * serializing.  With an injector, launch() schedules forward() at the
+ * departure tick, where the fault draw and the sender-crash check
+ * run.  Without one there is nothing to decide at departure, so
+ * launch() schedules the delivery at once: one event per burst, not
+ * two, in the same order (DESIGN.md §10).
  */
 
 #ifndef IOAT_NET_SWITCH_HH
@@ -93,18 +100,44 @@ class Switch : public sim::telemetry::Instrumented
     }
 
     /**
+     * Accept a burst whose last bit leaves the sender at @p depart.
+     *
+     * With an injector attached, forward() runs at @p depart on the
+     * current (sender's) lane, as a fault-on run's link draws must.
+     * Without one, the delivery is scheduled now for
+     * `depart + latency`; its key is drawn here rather than at
+     * @p depart, which orders it the same (DESIGN.md §10).  The mode
+     * is fixed per burst at launch, so attach an injector before
+     * traffic starts.
+     */
+    void
+    launch(const Burst &burst, Tick depart)
+    {
+        sim::simAssert(burst.dst < ports_.size(),
+                       "burst addressed to unattached node");
+        if (faults_) {
+            auto fwd = [this, burst] { forward(burst); };
+            static_assert(sim::SmallFn::fitsInline<decltype(fwd)>(),
+                          "a burst event must keep its capture inline");
+            sim_.queue().schedule(depart, std::move(fwd));
+            return;
+        }
+        send(burst, depart + latency_);
+    }
+
+    /**
      * Accept a burst that finished serializing into the switch at the
      * current simulated time; deliver it to the destination device
-     * after the forwarding latency.
+     * after the forwarding latency, subject to the injector's faults.
      */
     void
     forward(const Burst &burst)
     {
         sim::simAssert(burst.dst < ports_.size(),
                        "burst addressed to unattached node");
-        Tick latency = latency_;
+        const Tick now = sim_.now();
+        Tick arrive_at = now + latency_;
         if (faults_) {
-            const Tick now = sim_.now();
             // A burst leaving a node that crashed while it was
             // serializing never makes it into the backplane.
             if (faults_->nodeDown(burst.src, now)) {
@@ -119,14 +152,14 @@ class Switch : public sim::telemetry::Instrumented
             }
             if (d.extraDelay > sim::Tick{0}) {
                 traceFault("fault:delay link", burst.dst);
-                latency += d.extraDelay;
+                arrive_at += d.extraDelay;
             }
             if (d.duplicate) {
                 traceFault("fault:dup link", burst.dst);
-                send(burst, latency);
+                send(burst, arrive_at);
             }
         }
-        send(burst, latency);
+        send(burst, arrive_at);
     }
 
     /** @name Statistics
@@ -149,19 +182,19 @@ class Switch : public sim::telemetry::Instrumented
 
   private:
     /**
-     * Schedule one delivery.  The key is drawn on the sender's lane,
-     * so the destination executes same-tick deliveries in the order
-     * of the senders' lanes.
+     * Schedule one delivery at absolute tick @p arrive_at.  The key is
+     * drawn on the sender's lane, so the destination executes
+     * same-tick deliveries in the order of the senders' lanes.
      */
     void
-    send(const Burst &burst, Tick latency)
+    send(const Burst &burst, Tick arrive_at)
     {
         const auto prio = static_cast<std::uint32_t>(burst.src) + 1;
         const auto exec = static_cast<std::uint32_t>(burst.dst) + 1;
         auto arrive = [this, burst] { deliver(burst); };
         static_assert(sim::SmallFn::fitsInline<decltype(arrive)>(),
                       "a burst event must keep its capture inline");
-        sim_.queue().scheduleCross(sim_.now() + latency, prio, exec,
+        sim_.queue().scheduleCross(arrive_at, prio, exec,
                                    std::move(arrive));
     }
 

@@ -198,8 +198,9 @@ class Nic
     }
 
     /**
-     * Transmit a burst: serialize on the flow's port, then hand to
-     * the switch.  Returns the tick at which the last bit leaves.
+     * Transmit a burst: serialize on the flow's port and launch it
+     * into the switch, which takes it from the departure tick on.
+     * Returns the tick at which the last bit leaves.
      */
     Tick
     transmit(Burst burst)
@@ -217,10 +218,7 @@ class Nic
             burst.traceTxStart = start;
         }
 
-        auto forward = [this, burst] { fabric_.forward(burst); };
-        static_assert(sim::SmallFn::fitsInline<decltype(forward)>(),
-                      "a burst event must keep its capture inline");
-        sim_.queue().schedule(depart, std::move(forward));
+        fabric_.launch(burst, depart);
         return depart;
     }
 

@@ -114,8 +114,9 @@ senderLoop(Node &node, net::NodeId dst, std::uint16_t port,
 
 TEST(Alloc, BurstCaptureStaysInline)
 {
-    // The NIC and switch schedule a pointer-plus-Burst capture once
-    // per burst per hop; it must live in the event node, not box.
+    // The switch schedules a pointer-plus-Burst capture once per
+    // burst (twice with an injector); it must live in the event node,
+    // not box.
     sim::EventQueue q;
     std::uint64_t sum = 0;
     net::Burst b;

@@ -4,13 +4,16 @@
  * deterministic replay, per-site drop/dup/delay semantics, RTO
  * backoff and retry-exhaustion aborts, NIC ring overflow recovery,
  * PVFS crash-window recovery, data-center failover and degradation,
- * and exact zero-loss equivalence with the fault-free seed.
+ * exact zero-loss equivalence with the fault-free seed, and the
+ * fault-free switch launch against the injector's forward-event path.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/app_memory.hh"
@@ -24,6 +27,7 @@
 #include "pvfs/client.hh"
 #include "pvfs/server.hh"
 #include "simcore/simcore.hh"
+#include "simcore/telemetry/registry.hh"
 
 namespace {
 
@@ -532,6 +536,210 @@ TEST(ZeroLossEquivalence, PvfsMatchesSeedByteForByte)
 {
     EXPECT_EQ(equivPvfsBytes(false), kGoldenPvfsNonIoat);
     EXPECT_EQ(equivPvfsBytes(true), kGoldenPvfsIoat);
+}
+
+// --------------------------------------------------------------------
+// Fused launch vs. the forward-event path
+//
+// Without an injector the switch schedules a burst's delivery when the
+// NIC launches it; with one, even at zero probabilities, it schedules
+// a forward event at the departure tick first.  A drained run must
+// end in the same state on both paths, one executed event apart per
+// burst.
+// --------------------------------------------------------------------
+
+using Readings = std::vector<std::pair<std::string, double>>;
+
+struct LaunchRun
+{
+    /** Every registry scalar and probe, then the run's own timings. */
+    Readings readings;
+    std::uint64_t events = 0;
+    std::uint64_t rxBursts = 0;
+};
+
+/** Summarize a run that must have drained: no burst left in flight. */
+LaunchRun
+drainedRun(Simulation &sim, const net::Switch &fabric,
+           const std::vector<Node *> &nodes)
+{
+    LaunchRun r;
+    std::uint64_t tx = 0;
+    std::uint64_t rx = 0;
+    std::uint64_t drops = 0;
+    for (Node *n : nodes) {
+        tx += n->nic().txWireBytes();
+        rx += n->nic().rxWireBytes();
+        drops += n->nic().rxOverflowDrops() + n->nic().rxFaultDrops();
+        r.rxBursts += n->nic().rxBursts();
+    }
+    EXPECT_EQ(tx, rx) << "a burst is still in flight";
+    EXPECT_EQ(0u, drops);
+    EXPECT_EQ(0u, fabric.deadLetters());
+
+    sim::telemetry::Registry reg;
+    sim.telemetry().instrumentAll(reg);
+    for (const auto &sc : reg.scalars())
+        r.readings.emplace_back(sc.name, sc.read());
+    for (const auto &pr : reg.probes())
+        r.readings.emplace_back(pr.name, pr.read());
+    r.events = sim.executedEvents();
+    return r;
+}
+
+/** Drain one stream; @p done is the tick its end arrived. */
+Coro<void>
+launchSink(Node &node, std::uint16_t port, std::size_t chunk, Tick &done)
+{
+    sock::Listener listener(node.transport(), port);
+    sock::Socket c = co_await listener.accept();
+    while (co_await c.recvAll(chunk) > 0) {
+    }
+    done = node.simulation().now();
+}
+
+Coro<void>
+launchSender(Node &node, net::NodeId dst, std::uint16_t port,
+             std::size_t chunk, std::uint64_t count)
+{
+    sock::Socket c = co_await node.transport().connect(dst, port);
+    for (std::uint64_t i = 0; i < count; ++i)
+        co_await c.sendAll(chunk);
+    c.close();
+}
+
+/** Streams of seeded chunk sizes and counts: a and b send to each
+ *  other while c sends to b too (fan-in at b). */
+LaunchRun
+launchStreamRun(const NodeConfig &cfg, std::uint64_t seed,
+                bool forward_path)
+{
+    Simulation sim;
+    net::Switch fabric(sim, sim::nanoseconds(2000));
+    FaultInjector faults(seed); // zero probabilities everywhere
+    if (forward_path)
+        fabric.setFaultInjector(&faults);
+    Node a(sim, fabric, cfg);
+    Node b(sim, fabric, cfg);
+    Node c(sim, fabric, cfg);
+    struct Stream
+    {
+        Node &from;
+        Node &to;
+        std::uint16_t port;
+    };
+    const Stream streams[] = {{a, b, 5001}, {b, a, 5002}, {c, b, 5003}};
+    sim::Rng rng(seed);
+    Tick done[3] = {};
+    for (std::size_t i = 0; i < 3; ++i) {
+        const Stream &st = streams[i];
+        const std::size_t chunk = 1024 * rng.uniformInt(1, 64);
+        const std::uint64_t count = rng.uniformInt(20, 60);
+        sim.spawn(launchSink(st.to, st.port, chunk, done[i]));
+        sim.spawn(launchSender(st.from, st.to.id(), st.port, chunk, count));
+    }
+    sim.runFor(sim::milliseconds(300));
+    LaunchRun r = drainedRun(sim, fabric, {&a, &b, &c});
+    for (const Tick t : done) {
+        EXPECT_GT(t, Tick{0}) << "a stream did not finish";
+        r.readings.emplace_back("streamDoneTick",
+                                static_cast<double>(t.count()));
+    }
+    return r;
+}
+
+/** A proxy + web-server data center under seeded Zipf load, stopped
+ *  and drained. */
+LaunchRun
+launchDcRun(const NodeConfig &cfg, std::uint64_t seed, bool forward_path)
+{
+    Simulation sim;
+    core::Testbed tb(sim, core::TestbedConfig{
+                              .serverCount = 2,
+                              .serverConfig = cfg,
+                              .clientCount = 2,
+                              .clientConfig = cfg,
+                          });
+    FaultInjector faults(seed);
+    if (forward_path)
+        tb.fabric().setFaultInjector(&faults);
+    dc::DcConfig dcCfg;
+    dc::ZipfWorkload wl(0.75, 2000);
+    dc::WebServer server(tb.server(1), dcCfg, wl);
+    dc::Proxy proxy(tb.server(0), dcCfg, tb.server(1).id());
+    server.start();
+    proxy.start();
+    dc::ClientFleet::Options opts;
+    opts.target = tb.server(0).id();
+    opts.port = dcCfg.proxyPort;
+    opts.threads = 8;
+    opts.rngSeed = seed;
+    dc::ClientFleet fleet({&tb.client(0), &tb.client(1)}, wl, opts);
+    fleet.start();
+    sim.runFor(sim::milliseconds(20));
+    fleet.stop();
+    sim.runFor(sim::milliseconds(100));
+    EXPECT_EQ(0u, fleet.activeThreads());
+    EXPECT_GT(fleet.completed(), 100u);
+    LaunchRun r = drainedRun(sim, tb.fabric(),
+                             {&tb.server(0), &tb.server(1),
+                              &tb.client(0), &tb.client(1)});
+    r.readings.emplace_back("completed",
+                            static_cast<double>(fleet.completed()));
+    r.readings.emplace_back("latencyUsSum", fleet.latencyUs().sum());
+    r.readings.emplace_back("latencyUsMax", fleet.latencyUs().max());
+    return r;
+}
+
+/** The three transports: kernel TCP without and with I/OAT, and the
+ *  kernel-bypass library. */
+std::vector<std::pair<const char *, NodeConfig>>
+launchTransports()
+{
+    NodeConfig bypass = NodeConfig::server(IoatConfig::disabled(), 1);
+    bypass.transport = core::TransportKind::bypass;
+    return {{"tcp", NodeConfig::server(IoatConfig::disabled(), 1)},
+            {"ioat", NodeConfig::server(IoatConfig::enabled(), 1)},
+            {"bypass", bypass}};
+}
+
+void
+expectForwardPathEquivalent(const LaunchRun &fused,
+                            const LaunchRun &forwarded)
+{
+    EXPECT_EQ(fused.readings, forwarded.readings);
+    EXPECT_EQ(fused.rxBursts, forwarded.rxBursts);
+    // One departure event per burst, and nothing else, on the
+    // forward path.
+    EXPECT_EQ(forwarded.events - fused.events, fused.rxBursts);
+}
+
+TEST(FusedLaunch, StreamsMatchTheForwardEventPath)
+{
+    for (const auto &[label, cfg] : launchTransports()) {
+        for (std::uint64_t seed : {1, 2, 3}) {
+            SCOPED_TRACE(std::string(label) + " seed " +
+                         std::to_string(seed));
+            const LaunchRun fused = launchStreamRun(cfg, seed, false);
+            const LaunchRun forwarded = launchStreamRun(cfg, seed, true);
+            ASSERT_GT(fused.rxBursts, 100u);
+            expectForwardPathEquivalent(fused, forwarded);
+        }
+    }
+}
+
+TEST(FusedLaunch, DataCenterMatchesTheForwardEventPath)
+{
+    for (const auto &[label, cfg] : launchTransports()) {
+        for (std::uint64_t seed : {1, 2}) {
+            SCOPED_TRACE(std::string(label) + " seed " +
+                         std::to_string(seed));
+            const LaunchRun fused = launchDcRun(cfg, seed, false);
+            const LaunchRun forwarded = launchDcRun(cfg, seed, true);
+            ASSERT_GT(fused.rxBursts, 100u);
+            expectForwardPathEquivalent(fused, forwarded);
+        }
+    }
 }
 
 // --------------------------------------------------------------------

@@ -287,8 +287,13 @@ TEST(SwitchDeathTest, UnattachedDestinationPanics)
 {
     TwoNodes t;
     Burst b = dataBurst(99, 0, 100, t.a);
-    t.a.transmit(b);
-    EXPECT_DEATH(t.sim.run(), "unattached");
+    // The switch checks the destination at launch, inside transmit().
+    EXPECT_DEATH(
+        {
+            t.a.transmit(b);
+            t.sim.run();
+        },
+        "unattached");
 }
 
 } // namespace

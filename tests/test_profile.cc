@@ -507,6 +507,20 @@ TEST(Profile, BenchdiffGatesOnThroughputRegression)
     EXPECT_NE(slow.output.find("REGRESSION"), std::string::npos)
         << slow.output;
 
+    // The gate is on wall time: 10% fewer events in 5% less time is
+    // faster, although events/sec fell to 0.95x.
+    writeFile("tp_fused.json", R"({"schema":"ioat-bench-v1",
+"bench":"fig03_bandwidth","gitRev":"eeee",
+"config":{"transport":"default"},
+"metrics":{"events":900,"wallSeconds":0.95,
+           "eventsPerSec":947,"peakRssBytes":1000000}})");
+    const auto fused =
+        runTool(tool + "--min-ratio 1.0 tp_base.json tp_fused.json");
+    EXPECT_EQ(fused.exitCode, 0) << fused.output;
+    EXPECT_NE(fused.output.find("OK: within tolerance"),
+              std::string::npos)
+        << fused.output;
+
     // Model gate: changed event count fails only when required.
     writeFile("tp_model.json", R"({"schema":"ioat-bench-v1",
 "bench":"fig03_bandwidth","gitRev":"dddd",
@@ -523,6 +537,7 @@ TEST(Profile, BenchdiffGatesOnThroughputRegression)
     std::remove("tp_base.json");
     std::remove("tp_ok.json");
     std::remove("tp_slow.json");
+    std::remove("tp_fused.json");
     std::remove("tp_model.json");
 }
 

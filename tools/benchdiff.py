@@ -9,10 +9,14 @@ run and exits non-zero on regression, so CI can gate on it:
  * model fields compare exactly — the bench name must match, and with
    --require-events-equal the executed-event count must too (it is
    deterministic; a change means the model changed, not the machine);
- * perf fields compare with tolerance — events/sec may not drop below
-   --min-ratio x baseline, peak RSS may not exceed --max-rss-ratio x
-   baseline.  Checked-in baselines come from a different machine, so
-   CI uses a generous --min-ratio;
+ * perf fields compare with tolerance — the speed ratio, baseline
+   wall seconds / current wall seconds, may not drop below --min-ratio,
+   and peak RSS may not exceed --max-rss-ratio x baseline.  Wall time,
+   not events/sec, is the gated quantity: a change that runs fewer
+   events for the same model lowers events/sec while the run gets
+   faster.  At equal events the two ratios are the same.  Checked-in
+   baselines come from a different machine, so CI uses a generous
+   --min-ratio;
  * config-echo differences are reported, and fatal with --strict-config.
 
 Usage:
@@ -46,8 +50,8 @@ def main():
     ap.add_argument("baseline")
     ap.add_argument("current")
     ap.add_argument("--min-ratio", type=float, default=0.5,
-                    help="current events/sec must be >= this x baseline "
-                         "(default 0.5)")
+                    help="baseline wall seconds / current wall seconds "
+                         "must be >= this (default 0.5)")
     ap.add_argument("--max-rss-ratio", type=float, default=4.0,
                     help="current peak RSS must be <= this x baseline "
                          "(default 4.0)")
@@ -92,13 +96,13 @@ def main():
         else:
             print(f"  note: {line}")
 
-    if bm["eventsPerSec"] > 0:
-        ratio = cm["eventsPerSec"] / bm["eventsPerSec"]
-        print(f"  throughput ratio: {ratio:.2f}x "
+    if bm["wallSeconds"] > 0 and cm["wallSeconds"] > 0:
+        ratio = bm["wallSeconds"] / cm["wallSeconds"]
+        print(f"  speed ratio:      {ratio:.2f}x "
               f"(gate: >= {args.min_ratio:.2f}x)")
         if ratio < args.min_ratio:
             failures.append(
-                f"events/sec regressed to {ratio:.2f}x baseline "
+                f"wall time regressed: speed {ratio:.2f}x baseline "
                 f"(min {args.min_ratio:.2f}x)")
 
     if bm["peakRssBytes"] > 0:
